@@ -57,10 +57,10 @@ func (c *CPU) Seconds(instructions float64) float64 {
 // StartRun enters a CPU burst without blocking. entered=true means the
 // wait was entered and the caller must park; the completion outcome
 // arrives at its next step. entered=false means the call finished
-// immediately with result ok — either a zero-instruction burst
-// (ok=true) or a pending interrupt that consumed the wait (ok=false).
-// The goroutine-process counterpart, Run, is test-only (see
-// proc_compat_test.go).
+// immediately with result ok — a zero-instruction burst or an elided
+// one (ok=true; see sim.Server.StartUse), or a pending interrupt that
+// consumed the wait (ok=false). The goroutine-process counterpart, Run,
+// is test-only (see proc_compat_test.go).
 func (c *CPU) StartRun(t sim.Task, prio float64, instructions float64) (entered, ok bool) {
 	if instructions < 0 {
 		panic(fmt.Sprintf("cpu: negative instruction count %g", instructions))
@@ -68,7 +68,7 @@ func (c *CPU) StartRun(t sim.Task, prio float64, instructions float64) (entered,
 	if instructions == 0 {
 		return false, true
 	}
-	return c.server.StartUse(t, prio, c.Seconds(instructions)), false
+	return c.server.StartUse(t, prio, c.Seconds(instructions))
 }
 
 // Meter exposes busy-time accounting for utilization measurements.

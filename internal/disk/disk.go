@@ -290,15 +290,22 @@ func (d *Disk) clamp(req *Request) {
 // StartAccess enters one non-sequential disk access of `pages` pages at
 // the given cylinder with the given ED priority (lower = more urgent)
 // without blocking, filling the caller-owned scratch record req (which
-// must stay untouched until the access completes or is interrupted). It
-// reports whether the wait was entered; false means a pending interrupt
-// consumed it — if the transfer had already started on an idle disk it
-// still completes on the disk's timeline, exactly like an interrupt
-// arriving mid-transfer. On true the caller must park immediately; the
-// completion outcome (false iff interrupted) arrives at its next step.
+// must stay untouched until the access completes or is interrupted).
+//
+// The (entered, ok) result follows cpu.StartRun. entered=true means the
+// wait was entered: the caller must park immediately, and the completion
+// outcome (false iff interrupted) arrives at its next step. entered=false
+// means the access finished within the call with result ok:
+//   - ok=true: the transfer was elided. The disk was idle and its
+//     completion was the next event (sim.Kernel.Elide), so the clock
+//     already stands at the transfer's end and the disk has completed it.
+//   - ok=false: a pending interrupt consumed the wait. A transfer that
+//     had already started on an idle disk still completes on the disk's
+//     timeline, exactly like an interrupt arriving mid-transfer.
+//
 // The goroutine-process counterparts, Access and AccessSeq, are
 // test-only (see proc_compat_test.go).
-func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *Request) bool {
+func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *Request) (entered, ok bool) {
 	*req = Request{cylinder: cylinder, pages: pages, prio: prio}
 	return d.start(t, prio, req)
 }
@@ -308,18 +315,18 @@ func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *R
 // the prefetch cache it is serviced at transfer rate (readahead already
 // positioned the data); otherwise it pays the full seek and rotational
 // delay and starts a new tracked stream. Same caller-owned scratch
-// record contract as StartAccess.
-func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) bool {
+// record and (entered, ok) contract as StartAccess.
+func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) (entered, ok bool) {
 	*req = Request{
 		cylinder: cylinder, pages: pages, prio: prio, file: file, page: fromPage,
 	}
 	return d.start(t, prio, req)
 }
 
-func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
+func (d *Disk) start(t sim.Task, prio float64, req *Request) (entered, ok bool) {
 	d.clamp(req)
 	if d.proxy != nil {
-		return d.startProxy(t, prio, req)
+		return d.startProxy(t, prio, req), false
 	}
 	if !d.busy {
 		// Idle disk: serve immediately, exactly as serveDirect does for
@@ -329,12 +336,17 @@ func (d *Disk) start(t sim.Task, prio float64, req *Request) bool {
 		d.busy = true
 		d.meter.SetBusy(true)
 		service := d.serviceTime(req)
+		// Elided: the completion, the hold wake and the resumed turn.
+		if service > 0 && !t.PendingInterrupt() && d.k.Elide(d.k.Now()+service, 3) {
+			d.completeDirect()
+			return false, true
+		}
 		d.k.AtComplete(service, d.compID, true)
-		return t.StartHold(service)
+		return t.StartHold(service), false
 	}
 	// Queued: the scratch record backs the queue entry until dispatch
 	// reads its service parameters or an interrupt unlinks the entry.
-	return d.gate.Enqueue(t, prio, req, 0)
+	return d.gate.Enqueue(t, prio, req, 0), false
 }
 
 // maxStreams is how many concurrent sequential streams the 256 KB cache

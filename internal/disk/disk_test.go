@@ -65,6 +65,45 @@ func TestAccessTakesTime(t *testing.T) {
 	}
 }
 
+// TestElisionDiskAccess: an access to an idle disk with nothing else
+// pending is elided — it completes within StartAccess, counting the
+// completion, hold wake and resumed turn as steps — while a caller with
+// a pending interrupt takes the normal path: the interrupt is reported
+// at once and the transfer still completes on the disk's timeline.
+func TestElisionDiskAccess(t *testing.T) {
+	for _, interrupt := range []bool{false, true} {
+		k, m := newTestManager(t, 1, 100)
+		d := m.Disk(0)
+		var req Request
+		var p *sim.InlineProc
+		var entered, ok bool
+		var at float64
+		p = k.SpawnInline("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+			func(m *sim.Machine, _ bool) sim.Status {
+				if interrupt {
+					p.Interrupt()
+				}
+				entered, ok = d.StartAccess(p, 1, 700, 6, &req)
+				at = p.Now()
+				return m.Return(ok)
+			},
+		}})
+		k.Drain()
+		if entered || ok == interrupt || d.Served() != 1 || d.busy {
+			t.Fatalf("interrupt=%v: entered=%v ok=%v served=%d busy=%v",
+				interrupt, entered, ok, d.Served(), d.busy)
+		}
+		wantAt, wantElided, wantSteps := k.Now(), uint64(1), uint64(4)
+		if interrupt {
+			wantAt, wantElided, wantSteps = 0, 0, 2 // spawn turn + completion
+		}
+		if at != wantAt || k.Elided() != wantElided || k.Steps() != wantSteps {
+			t.Fatalf("interrupt=%v: resumed at %g, elided %d, steps %d; want %g, %d, %d",
+				interrupt, at, k.Elided(), k.Steps(), wantAt, wantElided, wantSteps)
+		}
+	}
+}
+
 func TestEDPriorityOrder(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)

@@ -23,10 +23,10 @@ func (f *handoffFrame) Step(m *sim.Machine, ok bool) sim.Status {
 		switch f.PC {
 		case 0:
 			f.PC = 1
-			if f.d.StartAccessSeq(f.t, 1, 700, 6, 7, f.page, &f.req) {
+			var entered bool
+			if entered, ok = f.d.StartAccessSeq(f.t, 1, 700, 6, 7, f.page, &f.req); entered {
 				return sim.Park
 			}
-			ok = false
 		case 1:
 			if !ok {
 				return m.Return(false)

@@ -61,7 +61,7 @@ func Baseline(o Options) ([]*Report, error) {
 		return rep
 	}
 
-	fig3 := metricReport("fig3", "Miss Ratio %% (Baseline)",
+	fig3 := metricReport("fig3", "Miss Ratio % (Baseline)",
 		func(p *pmm.PointResult) string { return cellPct(p.Agg.MissRatio) })
 	fig3.Notes = append(fig3.Notes, "paper: MinMax lowest, PMM close behind, Proportional then Max degrade fastest")
 	// The paper's central comparison — the adaptive algorithm against the
@@ -70,7 +70,7 @@ func Baseline(o Options) ([]*Report, error) {
 		return get(rate, pmm.PolicyConfig{Kind: pmm.PolicyPMM}),
 			get(rate, pmm.PolicyConfig{Kind: pmm.PolicyMinMax})
 	})
-	fig4 := metricReport("fig4", "Avg Disk Utilization %% (Baseline)",
+	fig4 := metricReport("fig4", "Avg Disk Utilization % (Baseline)",
 		func(p *pmm.PointResult) string { return cellPct(p.Agg.AvgDiskUtil) })
 	fig4.Notes = append(fig4.Notes, "paper: Max stays flat (~15%), others rise toward ~45%")
 	fig5 := metricReport("fig5", "Observed MPL (Baseline)",

@@ -47,7 +47,7 @@ func DiskContention(o Options) ([]*Report, error) {
 		}
 		return rep
 	}
-	fig8 := metricReport("fig8", "Miss Ratio %% (Disk Contention, 6 disks)",
+	fig8 := metricReport("fig8", "Miss Ratio % (Disk Contention, 6 disks)",
 		func(p *pmm.PointResult) string { return cellPct(p.Agg.MissRatio) })
 	fig8.Notes = append(fig8.Notes, "paper: unrestrained MinMax thrashes; PMM tracks MinMax-10 within ~2%")
 	// "PMM tracks MinMax-10 within ~2%" as a measured paired gap.
@@ -55,7 +55,7 @@ func DiskContention(o Options) ([]*Report, error) {
 		return get(rate, pmm.PolicyConfig{Kind: pmm.PolicyPMM}),
 			get(rate, pmm.PolicyConfig{Kind: pmm.PolicyMinMax, MPLLimit: 10})
 	})
-	fig9 := metricReport("fig9", "Avg Disk Utilization %% (Disk Contention)",
+	fig9 := metricReport("fig9", "Avg Disk Utilization % (Disk Contention)",
 		func(p *pmm.PointResult) string { return cellPct(p.Agg.AvgDiskUtil) })
 	fig9.Notes = append(fig9.Notes, "paper: MinMax exceeds 70% under heavy load; Max stays flat")
 	fig10 := metricReport("fig10", "Observed MPL (Disk Contention)",
@@ -91,7 +91,7 @@ func MinMaxNSweep(o Options) ([]*Report, error) {
 	}
 	rep := &Report{
 		ID:     "fig11",
-		Title:  "MinMax-N Miss Ratio %% vs N (6 disks, λ=0.07)",
+		Title:  "MinMax-N Miss Ratio % vs N (6 disks, λ=0.07)",
 		Header: []string{"N", "miss %", "MPL", "disk util %"},
 	}
 	row := func(label string, p *pmm.PointResult) []string {

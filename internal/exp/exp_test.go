@@ -213,6 +213,10 @@ func TestAllDriversTinyHorizon(t *testing.T) {
 		if r.ID == "" || r.Title == "" || len(r.Header) == 0 {
 			t.Fatalf("malformed report %+v", r)
 		}
+		// Titles are plain strings, never format strings.
+		if strings.Contains(r.Title, "%%") {
+			t.Errorf("report %s title %q carries a literal %%%%", r.ID, r.Title)
+		}
 		if seen[r.ID] {
 			t.Fatalf("duplicate report id %s", r.ID)
 		}

@@ -27,7 +27,7 @@ func ExternalSorts(o Options) ([]*Report, error) {
 	for _, pol := range pols {
 		header = append(header, policyLabel(pol))
 	}
-	rep := &Report{ID: "fig16", Title: "Miss Ratio %% (External Sorts)", Header: header}
+	rep := &Report{ID: "fig16", Title: "Miss Ratio % (External Sorts)", Header: header}
 	for _, rate := range rates {
 		row := []string{fmt.Sprintf("%.2f", rate)}
 		for _, pol := range pols {
@@ -79,7 +79,7 @@ func Multiclass(o Options) ([]*Report, error) {
 	for _, pol := range pols {
 		header = append(header, policyLabel(pol))
 	}
-	fig17 := &Report{ID: "fig17", Title: "System Miss Ratio %% (Multiclass)", Header: header}
+	fig17 := &Report{ID: "fig17", Title: "System Miss Ratio % (Multiclass)", Header: header}
 	for _, sr := range smallRates {
 		row := []string{fmt.Sprintf("%.1f", sr)}
 		for _, pol := range pols {
@@ -97,7 +97,7 @@ func Multiclass(o Options) ([]*Report, error) {
 
 	fig18 := &Report{
 		ID:     "fig18",
-		Title:  "Per-Class Miss Ratio %% under PMM (Multiclass)",
+		Title:  "Per-Class Miss Ratio % under PMM (Multiclass)",
 		Header: []string{"small rate", "Medium", "Small"},
 	}
 	for _, sr := range smallRates {
@@ -177,7 +177,7 @@ func Scalability(o Options) ([]*Report, error) {
 	}
 	rep := &Report{
 		ID:     "sec5.7",
-		Title:  "Scalability: Miss Ratio %% by Scale Factor (6 disks, λ=0.06/k)",
+		Title:  "Scalability: Miss Ratio % by Scale Factor (6 disks, λ=0.06/k)",
 		Header: []string{"scale", "Max", "MinMax", "PMM"},
 	}
 	for _, k := range scales {

@@ -360,10 +360,10 @@ func (f *readRelFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			e.IOBreakdown.RelRead += int64(f.step)
 			ext := f.rel.Extent()
 			f.PC = 3
-			if ext.Disk().StartAccessSeq(e.P, e.Q.Prio(), ext.CylinderOf(f.off), f.step, f.rel.ID, f.off, &e.req) {
+			var entered bool
+			if entered, ok = ext.Disk().StartAccessSeq(e.P, e.Q.Prio(), ext.CylinderOf(f.off), f.step, f.rel.ID, f.off, &e.req); entered {
 				return sim.Park
 			}
-			ok = false
 		case 3: // transfer done
 			if !ok {
 				return m.Return(false)
@@ -464,10 +464,10 @@ func (f *appendFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			e.IOBreakdown.SpoolWrite += int64(f.u)
 			// Appends are sequential by construction: write-behind streams them.
 			f.PC = 3
-			if t.ext.Disk().StartAccessSeq(e.P, e.Q.Prio(), t.ext.CylinderOf(t.written), f.u, t.id, t.written, &e.req) {
+			var entered bool
+			if entered, ok = t.ext.Disk().StartAccessSeq(e.P, e.Q.Prio(), t.ext.CylinderOf(t.written), f.u, t.id, t.written, &e.req); entered {
 				return sim.Park
 			}
-			ok = false
 		case 3: // transfer done
 			if !ok {
 				return m.Return(false)
@@ -538,14 +538,13 @@ func (f *readTempFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.PC = 3
 			var entered bool
 			if f.unit > 1 {
-				entered = d.StartAccessSeq(e.P, e.Q.Prio(), t.ext.CylinderOf(f.off), f.u, t.id, f.off, &e.req)
+				entered, ok = d.StartAccessSeq(e.P, e.Q.Prio(), t.ext.CylinderOf(f.off), f.u, t.id, f.off, &e.req)
 			} else {
-				entered = d.StartAccess(e.P, e.Q.Prio(), t.ext.CylinderOf(f.off), f.u, &e.req)
+				entered, ok = d.StartAccess(e.P, e.Q.Prio(), t.ext.CylinderOf(f.off), f.u, &e.req)
 			}
 			if entered {
 				return sim.Park
 			}
-			ok = false
 		case 3: // transfer done
 			if !ok {
 				return m.Return(false)

@@ -197,6 +197,54 @@ func BenchmarkTypedDispatch(b *testing.B) {
 	k.Drain()
 }
 
+// burstLoopFrame runs n back-to-back bursts on a server, parking only
+// when a burst is not elided.
+type burstLoopFrame struct {
+	FrameState
+	t Task
+	s *Server
+	n int
+}
+
+func (f *burstLoopFrame) Step(m *Machine, ok bool) Status {
+	for {
+		switch f.PC {
+		case 0:
+			if f.n == 0 {
+				return m.Return(true)
+			}
+			f.n--
+			f.PC = 1
+			var entered bool
+			if entered, ok = f.s.StartUse(f.t, 0, 1e-3); entered {
+				return Park
+			}
+		case 1:
+			if !ok {
+				return m.Return(false)
+			}
+			f.PC = 0
+		}
+	}
+}
+
+// BenchmarkServerElided measures service elision: a lone inline task
+// doing back-to-back bursts on an idle server, where every completion
+// is provably the next event, so each burst runs inline in the task's
+// single turn with no event queued.
+func BenchmarkServerElided(b *testing.B) {
+	k := NewKernel()
+	f := &burstLoopFrame{s: NewServer(k, "cpu"), n: b.N}
+	f.t = k.SpawnInline("bursts", f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Drain()
+	b.StopTimer()
+	if k.Elided() != uint64(b.N) {
+		b.Fatalf("elided %d of %d bursts", k.Elided(), b.N)
+	}
+}
+
 // warmStartFrame holds n times, then finishes.
 type warmStartFrame struct {
 	FrameState

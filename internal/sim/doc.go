@@ -45,6 +45,35 @@
 // Proc, inline frame machine) arms the same waits through the same
 // taskCore, so the two produce bit-for-bit identical event sequences.
 //
+// # Elision
+//
+// A resource that starts service on an idle channel can often prove
+// that its completion will be the very next event. Then the completion
+// event, the caller's wake and its resumed turn exist only to route the
+// caller back through the queue. Kernel.Elide(at, events) makes that
+// proof. The completion at at = now+service is next when all five
+// conditions hold:
+//
+//  1. no trace sink is attached;
+//  2. the zero-delay lane holds no live entry;
+//  3. the earliest timed event lies strictly after at (an equal time
+//     carries a lower sequence number and wins);
+//  4. at ≤ min(until of the Run in progress, run cap), read at the
+//     point of elision;
+//  5. the service time is positive and the caller has no pending
+//     interrupt (the caller checks this one).
+//
+// On success the clock is set to exactly now+service, the float
+// expression the queued path files the completion under. The caller
+// applies the completion's state changes and continues in the same
+// turn, with the service reported as finished: (entered=false, ok=true)
+// from Server.StartUse and the disk's Start methods. Steps counts the
+// events skipped, 2 per CPU burst (completion and turn) and 3 per disk
+// access (completion, hold wake and turn), so Steps, results and golden
+// digests are identical with elision on or off. Elided counts the
+// completions run inline. There is no switch: attaching a sink turns
+// elision off, which is how the conformance tests compare the two paths.
+//
 // # Partitioned execution
 //
 // A simulation too large for one kernel can be sharded across several

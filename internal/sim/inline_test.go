@@ -210,10 +210,10 @@ func (f *serverUseFrame) Step(m *Machine, ok bool) Status {
 	switch f.PC {
 	case 0:
 		f.PC = 1
-		if f.s.StartUse(f.t, f.prio, f.service) {
+		var entered bool
+		if entered, ok = f.s.StartUse(f.t, f.prio, f.service); entered {
 			return Park
 		}
-		ok = false
 		fallthrough
 	default:
 		f.got = ok

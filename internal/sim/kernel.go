@@ -238,6 +238,11 @@ type Kernel struct {
 	// use it as the conservative-lookahead bound a partition must not
 	// outrun; LowerRunCap may tighten it mid-run from an event handler.
 	runCap float64
+	// until is the until argument of the Run in progress (+Inf outside
+	// Run); together with runCap it bounds how far Elide may advance.
+	until float64
+	// elided counts successful Elide calls.
+	elided uint64
 
 	arena   *Arena // frame arena the kernel allocates processes from (may be nil)
 	farDead int    // cancelled entries still inside far
@@ -262,7 +267,7 @@ type MessageHandler interface {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{freeHead: -1, msgFree: -1, runCap: math.Inf(1)}
+	k := &Kernel{freeHead: -1, msgFree: -1, runCap: math.Inf(1), until: math.Inf(1)}
 	for i := range k.bhead {
 		k.bhead[i] = -1
 	}
@@ -285,6 +290,7 @@ func NewKernelIn(a *Arena) *Kernel {
 	k.freeHead = -1
 	k.msgFree = -1
 	k.runCap = math.Inf(1)
+	k.until = math.Inf(1)
 	for i := range k.bhead {
 		k.bhead[i] = -1
 	}
@@ -417,8 +423,40 @@ func (k *Kernel) placeAt(at float64, id int32, s *eventSlot, seq uint64) {
 // Now returns the current simulation time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
 
-// Steps returns the number of events executed so far.
+// Steps returns the number of events executed so far, counting the
+// events Elide skipped as executed.
 func (k *Kernel) Steps() uint64 { return k.steps }
+
+// Elided returns how many resource completions Elide ran inline.
+func (k *Kernel) Elided() uint64 { return k.elided }
+
+// Elide is the check-and-advance primitive behind service elision. A
+// resource starting service on an idle channel calls it with the
+// completion's absolute time at (the caller's now+service, the same
+// float expression sched would file it under) and the number of events
+// the queued path would have executed up to the caller's resumed turn.
+// Elide reports whether that completion is guaranteed to be the very
+// next event to fire: no trace sink is attached (a sink observes every
+// event), no live zero-delay lane entry is pending, the earliest timed
+// event lies strictly after at (an equal time carries a lower sequence
+// number and would win), and at does not pass the bound of the Run in
+// progress or the run cap, both read now. On true the clock is at at,
+// Steps counts the skipped events, and the caller applies the
+// completion's effects and continues in the same turn; on false nothing
+// changed and the caller takes the queued path. Callers must also
+// require a positive service time and no pending interrupt.
+func (k *Kernel) Elide(at float64, events uint64) bool {
+	if k.sink != nil || at > k.until || at > k.runCap || k.skipStaleLane() {
+		return false
+	}
+	if it, ok := k.nextTimed(); ok && it.at <= at {
+		return false
+	}
+	k.now = at
+	k.steps += events
+	k.elided++
+	return true
+}
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.procs }
@@ -882,6 +920,7 @@ fire:
 // re-read every iteration, so an event handler lowering it mid-run
 // stops the loop at the tightened bound.
 func (k *Kernel) Run(until float64) {
+	k.until = until
 	lim := until
 	if k.runCap < lim {
 		lim = k.runCap
@@ -908,6 +947,7 @@ func (k *Kernel) Run(until float64) {
 	if k.now < lim {
 		k.now = lim
 	}
+	k.until = math.Inf(1)
 }
 
 // SetRunCap sets the absolute time bound Run may not pass regardless of

@@ -12,11 +12,17 @@ package sim
 // Server fields rather than per-dispatch closures. Completion timers
 // are never cancelled (service is uncancellable), so they ride the
 // kernel's fastest timed path end to end — typically the front
-// registers or a level-0 wheel bucket. The two completion
-// paths deliberately differ in ordering — a direct serve dispatches the
-// next request before waking its caller, while a queued completion wakes
-// the served process first — preserving the event order of the original
-// implementation bit for bit.
+// registers or a level-0 wheel bucket.
+//
+// A request ends on one of two completion paths. A direct serve (the
+// server was idle) ends with completeDirect, which frees the server and
+// dispatches the next request before waking its caller. A dispatched
+// queued request ends with completeQueued, which wakes the served
+// process first and then dispatches. The two orders preserve the event
+// order of the original implementation bit for bit. A direct serve
+// whose completion Kernel.Elide proves to be the next event skips both
+// events: StartUse frees the server inline and the caller continues in
+// the same turn.
 //
 // Both process representations share one implementation: StartUse arms
 // the wait (service timer or queue entry) for any Task, and the blocking
@@ -61,20 +67,23 @@ func (s *Server) QueueLen() int { return s.gate.Len() }
 // consumed) or during it (service completed, then the interruption is
 // reported).
 func (s *Server) Use(p *Proc, prio float64, service float64) bool {
-	if !s.StartUse(p, prio, service) {
-		return false
+	if entered, ok := s.StartUse(p, prio, service); !entered {
+		return ok
 	}
 	return !p.park().interrupted
 }
 
 // StartUse is the inline-process counterpart of Use: it enters the
 // request — starting service immediately on an idle server, queueing
-// otherwise — without blocking, and reports whether the wait was entered
-// (false means a pending interrupt consumed it; if service had already
-// started it still completes on the server's timeline). On true the
-// caller must park immediately; the completion outcome arrives at its
-// next Step exactly as Use's return value.
-func (s *Server) StartUse(t Task, prio float64, service float64) bool {
+// otherwise — without blocking. entered=true means the wait was entered:
+// the caller must park immediately, and the completion outcome arrives
+// at its next Step exactly as Use's return value. entered=false means
+// the request finished within the call with result ok: true when the
+// service was elided (its completion was the next event, so the clock
+// already stands at its end), false when a pending interrupt consumed
+// the wait (if service had already started it still completes on the
+// server's timeline).
+func (s *Server) StartUse(t Task, prio float64, service float64) (entered, ok bool) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
@@ -86,20 +95,25 @@ func (s *Server) StartUse(t Task, prio float64, service float64) bool {
 		s.meter.SetBusy(true)
 		if c.takePendingInterrupt() {
 			s.finish()
-			return false
+			return false, false
+		}
+		// Elided: the completion and the caller's resumed turn.
+		if service > 0 && s.k.Elide(s.k.now+service, 2) {
+			s.finish()
+			return false, true
 		}
 		c.cancel = cancelNone
 		s.direct = c
 		s.k.AtComplete(service, s.compID, true)
-		return true
+		return true, false
 	}
 	if c.takePendingInterrupt() {
-		return false
+		return false, false
 	}
 	// On a normal release the dispatcher has already accounted for the
 	// service; the wake is the completion signal.
 	s.gate.enqueue(c, prio, nil, service)
-	return true
+	return true, false
 }
 
 // completeDirect ends a direct serve: the server is freed (dispatching

@@ -98,6 +98,9 @@ type Task interface {
 	// means a pending interrupt consumed it. The caller must park
 	// immediately on true, exactly as for StartHold.
 	StartPark() bool
+	// PendingInterrupt reports whether an interrupt is deferred to the
+	// process's next blocking point, which will consume and report it.
+	PendingInterrupt() bool
 
 	// core exposes the shared scheduling state; it also closes the
 	// interface to this package's implementations.
@@ -153,6 +156,9 @@ func (c *taskCore) Now() float64 { return c.k.now }
 
 // Dead reports whether the process body has finished.
 func (c *taskCore) Dead() bool { return c.state == procDead }
+
+// PendingInterrupt reports a deferred interrupt; see Task.PendingInterrupt.
+func (c *taskCore) PendingInterrupt() bool { return c.pendingInterrupt }
 
 // takePendingInterrupt consumes a deferred interrupt, if any.
 func (c *taskCore) takePendingInterrupt() bool {

@@ -48,16 +48,18 @@ echo "== PR 10: single-tenant disk cut (target: disk-shards>1 < disk-shards=0) =
 go test -run '^$' -bench 'BenchmarkFig3_DiskSharded' -benchtime "$BT" . | tee /tmp/bench_disksharded.$$ | grep Benchmark || true
 echo
 
+# Go suffixes benchmark names with -GOMAXPROCS when it is above 1
+# (shards=1-2 on a 2-CPU host), so every pattern allows a -N suffix.
 awk '
-/BenchmarkFig3_Sharded\/shards=1 /      { s1 = $3 }
-/BenchmarkFig3_Sharded\/shards=2 /      { s2 = $3 }
+/BenchmarkFig3_Sharded\/shards=1(-[0-9]+)? /      { s1 = $3 }
+/BenchmarkFig3_Sharded\/shards=2(-[0-9]+)? /      { s2 = $3 }
 END {
     if (s1 > 0 && s2 > 0)
         printf "PR 7  speedup at 2 shards:      %.2fx (target >= 1.5x on multi-core)\n", s1 / s2
 }' /tmp/bench_sharded.$$
 awk '
-/BenchmarkFig3_DiskSharded\/disk-shards=0 / { d0 = $3 }
-/BenchmarkFig3_DiskSharded\/disk-shards=2 / { d2 = $3 }
+/BenchmarkFig3_DiskSharded\/disk-shards=0(-[0-9]+)? / { d0 = $3 }
+/BenchmarkFig3_DiskSharded\/disk-shards=2(-[0-9]+)? / { d2 = $3 }
 END {
     if (d0 > 0 && d2 > 0)
         printf "PR 10 speedup at 2 disk shards: %.2fx (target > 1x on multi-core)\n", d0 / d2
