@@ -67,7 +67,6 @@ func main() {
 		maxReps = flag.Int("max-reps", 32, "replicate cap per point under -precision")
 		tenants = flag.Int("tenants", 0, "replicate the preset into this many broker-coupled cells (0/1 = single-tenant)")
 		shards  = flag.Int("shards", 0, "worker threads advancing cells in parallel (multi-tenant only; results identical for any value)")
-		dshards = flag.Int("disk-shards", 0, "cut each cell's disk farm across this many extra kernels (0/1 = classic; results identical for any value)")
 		sync    = flag.Float64("sync", 0, "broker epoch length in simulated seconds (0 = default 1.0; multi-tenant only)")
 		stretch = flag.Int("stretch", 0, "adaptive broker lookahead: widen the barrier up to this many epochs while no cell changes demand class (0/1 = fixed; multi-tenant only)")
 		clients = flag.Int("clients", 0, "simulated client population of the overload preset (0 = 100000; count-batched, any N costs one timer per class)")
@@ -162,7 +161,6 @@ func main() {
 		cfg.SyncInterval = *sync
 		cfg.SyncStretch = *stretch
 	}
-	cfg.DiskShards = *dshards
 
 	spec := pmm.SweepSpec{Base: cfg, Reps: *reps, Workers: *workers, Confidence: *conf}
 	var progress *pmm.SweepProgress

@@ -15,16 +15,14 @@ import "pmm/internal/sim"
 // if the process was interrupted — while queued (no disk time consumed)
 // or mid-transfer (the transfer finishes first).
 func (d *Disk) Access(p *sim.Proc, prio float64, cylinder, pages int) bool {
-	req := d.getReq()
-	*req = Request{cylinder: cylinder, pages: pages, prio: prio}
+	req := &Request{cylinder: cylinder, pages: pages, prio: prio}
 	return d.access(p, prio, req)
 }
 
 // AccessSeq performs a sequential access: page `fromPage` of `file`,
 // with the prefetch-cache semantics of StartAccessSeq.
 func (d *Disk) AccessSeq(p *sim.Proc, prio float64, cylinder, pages int, file int64, fromPage int) bool {
-	req := d.getReq()
-	*req = Request{
+	req := &Request{
 		cylinder: cylinder, pages: pages, prio: prio, file: file, page: fromPage,
 	}
 	return d.access(p, prio, req)
@@ -37,12 +35,7 @@ func (d *Disk) access(p *sim.Proc, prio float64, req *Request) bool {
 		// interrupt semantics uniform but we can dispatch synchronously.
 		return d.serveDirect(p, req)
 	}
-	// By the time Wait returns the request is no longer referenced: an
-	// interrupted entry was unlinked, and a dispatched one had its
-	// service time consumed before its process was woken.
-	ok := d.gate.Wait(p, prio, req)
-	d.putReq(req)
-	return ok
+	return d.gate.Wait(p, prio, req)
 }
 
 // serveDirect services a request for the calling process on an idle disk.
@@ -55,7 +48,6 @@ func (d *Disk) serveDirect(p *sim.Proc, req *Request) bool {
 	d.busy = true
 	d.meter.SetBusy(true)
 	service := d.serviceTime(req)
-	d.putReq(req)
 	d.k.AtComplete(service, d.compID, true)
 	return p.Hold(service)
 }

@@ -53,11 +53,6 @@ type Options struct {
 	// Shards is the worker-thread count for partitioned runs. Purely an
 	// execution knob — reported results are identical for every value.
 	Shards int
-	// DiskShards, when > 1, cuts every run's disk farm across that many
-	// extra kernels (intra-cell disk partitioning). Like Shards it is a
-	// pure execution knob: results — and result-store keys — are
-	// identical for every value.
-	DiskShards int
 	// Progress, when non-nil, receives live per-job telemetry from every
 	// sweep (all figures share its ETA denominator and its accumulated
 	// SweepTrace). Pure observability — results are unchanged.
@@ -87,7 +82,6 @@ func (o Options) sweep(base pmm.Config, axes ...pmm.Axis) ([]pmm.PointResult, er
 // rest of the grid stops on marginal precision.
 func (o Options) sweepPaired(base pmm.Config, pair *pmm.PairedTarget, axes ...pmm.Axis) ([]pmm.PointResult, error) {
 	base.Seed = o.Seed
-	base.DiskShards = o.DiskShards
 	spec := pmm.SweepSpec{
 		Base:     base,
 		Axes:     axes,

@@ -35,9 +35,9 @@ import (
 // the canonical text (Shards is a pure execution knob and stays out).
 // v3: count-batched workloads — class lines carry population and
 // modulation, and admitQueue/syncStretch joined the config lines.
-// v4: intra-cell disk partitioning — DiskShards joined Config as a
-// second pure execution knob; like Shards it is canonicalized to zero
-// and never serialized, but the field count tripwire moved.
+// v4: a second pure execution knob, the intra-cell disk cut, joined
+// Config. Like Shards it was never serialized, so the canonical text
+// did not change; the knob has since been removed and v4 stays.
 const formatVersion = "v4"
 
 // Key is the content address of one simulation result: the SHA-256 of
@@ -136,9 +136,8 @@ func CanonicalText(cfg rtdbs.Config) string {
 	line("paceFactor", c.PaceFactor)
 	line("admitQueue", c.AdmitQueue)
 	// Canonical() zeroes the broker fields for single-tenant configs and
-	// always zeroes Shards and DiskShards, which never appear here: every
-	// worker count and every disk-partitioning degree replays to the same
-	// result, so all of them share one key.
+	// always zeroes Shards, which never appears here: every Shards value
+	// replays to the same result, so all of them share one key.
 	line("tenants", c.Tenants)
 	line("syncInterval", c.SyncInterval)
 	line("syncStretch", c.SyncStretch)

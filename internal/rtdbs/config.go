@@ -9,6 +9,7 @@ package rtdbs
 
 import (
 	"fmt"
+	"math"
 
 	"pmm/internal/catalog"
 	"pmm/internal/core"
@@ -128,21 +129,9 @@ type Config struct {
 	// concurrently in a multi-tenant run. It is purely an execution
 	// knob: results are bit-for-bit identical for every value, so it is
 	// canonicalized to 0 and excluded from result-store keys. 0 or 1
-	// runs the partitions sequentially. With DiskShards > 1 the same
-	// workers also serve each cell's disk partitions, so useful values
-	// extend to Tenants × (1 + DiskShards).
+	// runs the partitions sequentially; values above Tenants are
+	// clamped.
 	Shards int
-	// DiskShards > 1 splits each tenant's disk farm across that many
-	// extra kernels (disk i goes to partition i mod DiskShards, values
-	// above the disk count are clamped), parallelizing even a
-	// single-tenant run along its CPU/disk boundary. Like Shards it is
-	// purely an execution knob: the home partition mirrors every
-	// deterministic disk decision and remote partitions replay the
-	// identical RNG streams, so metrics, event digests, and result-store
-	// keys are bit-for-bit identical for every value. 0 or 1 keeps the
-	// classic single-kernel path; canonicalized to 0 and excluded from
-	// result-store keys.
-	DiskShards int
 }
 
 // withDefaults fills unset fields with the paper's defaults.
@@ -190,25 +179,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects impossible configurations early.
+// validate rejects impossible configurations early. It runs after
+// withDefaults, so an unset Duration is already the default here. Float
+// checks are written as negated comparisons so that NaN fails them.
 func (c Config) validate() error {
+	if !(c.Duration > 0) || math.IsInf(c.Duration, 0) {
+		return fmt.Errorf("rtdbs: Duration %g is not a finite positive time", c.Duration)
+	}
 	if len(c.Groups) == 0 {
 		return fmt.Errorf("rtdbs: no relation groups")
+	}
+	for i, g := range c.Groups {
+		if g.RelPerDisk < 0 {
+			return fmt.Errorf("rtdbs: group %d has negative RelPerDisk %d", i, g.RelPerDisk)
+		}
+		if g.RelPerDisk > 0 && (g.SizeRange[0] < 1 || g.SizeRange[1] < 1) {
+			return fmt.Errorf("rtdbs: group %d SizeRange %v holds a non-positive relation size",
+				i, g.SizeRange)
+		}
 	}
 	if len(c.Classes) == 0 {
 		return fmt.Errorf("rtdbs: no workload classes")
 	}
-	for _, ph := range c.Phases {
+	for pi, ph := range c.Phases {
 		if len(ph.Rates) != len(c.Classes) {
-			return fmt.Errorf("rtdbs: phase has %d rates for %d classes",
-				len(ph.Rates), len(c.Classes))
+			return fmt.Errorf("rtdbs: Phases[%d] has %d rates for %d classes",
+				pi, len(ph.Rates), len(c.Classes))
 		}
-		if ph.Duration <= 0 {
-			return fmt.Errorf("rtdbs: non-positive phase duration %g", ph.Duration)
+		if !(ph.Duration > 0) || math.IsInf(ph.Duration, 0) {
+			return fmt.Errorf("rtdbs: Phases[%d] duration %g is not a finite positive time",
+				pi, ph.Duration)
 		}
 		for i, rate := range ph.Rates {
-			if rate < 0 {
-				return fmt.Errorf("rtdbs: phase rate %g for class %d is negative", rate, i)
+			if !(rate >= 0) || math.IsInf(rate, 0) {
+				return fmt.Errorf("rtdbs: Phases[%d] rate %g for class %d is not a finite non-negative rate",
+					pi, rate, i)
 			}
 		}
 	}
@@ -220,9 +225,6 @@ func (c Config) validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("rtdbs: negative shard count %d", c.Shards)
-	}
-	if c.DiskShards < 0 {
-		return fmt.Errorf("rtdbs: negative disk shard count %d", c.DiskShards)
 	}
 	if c.SyncInterval < 0 {
 		return fmt.Errorf("rtdbs: negative sync interval %g", c.SyncInterval)
@@ -295,12 +297,11 @@ func (c Config) Canonical() Config {
 		cls[i] = cls[i].CanonicalSpec()
 	}
 	c.Classes = cls
-	// Shards and DiskShards are pure execution knobs — every value
-	// produces the same results — so they never participate in content
-	// addressing. A single-tenant run ignores SyncInterval and
-	// SyncStretch entirely, and stretch 1 is the fixed barrier.
+	// Shards is a pure execution knob — every value produces the same
+	// results — so it never participates in content addressing. A
+	// single-tenant run ignores SyncInterval and SyncStretch entirely,
+	// and stretch 1 is the fixed barrier.
 	c.Shards = 0
-	c.DiskShards = 0
 	if c.SyncStretch <= 1 {
 		c.SyncStretch = 0
 	}

@@ -43,24 +43,10 @@ type cell struct {
 	id  int32
 	sys *System
 	run *shardedRun
-	// dc is the cell's intra-cell disk cut (Config.DiskShards > 1), or
-	// nil when the cell runs on a single kernel.
-	dc *diskCell
 }
 
 // Kernel implements sim.Partition.
 func (c *cell) Kernel() *sim.Kernel { return c.sys.k }
-
-// Advance implements sim.Advancer: a disk-cut cell reaches the window
-// bound through its own home/disk sub-protocol; an uncut cell just runs
-// its kernel.
-func (c *cell) Advance(bound float64) {
-	if c.dc == nil {
-		c.sys.k.Run(bound)
-		return
-	}
-	c.dc.Advance(bound)
-}
 
 // Horizon implements sim.Partition: the next broker epoch boundary. All
 // cells share it, so windows are global barriers. The boundary is
@@ -128,23 +114,12 @@ func newSharded(cfg Config) (*shardedRun, error) {
 	for i := 0; i < cfg.Tenants; i++ {
 		cc := cfg
 		cc.Tenants, cc.Shards, cc.SyncInterval, cc.SyncStretch = 0, 0, 0, 0
-		cc.DiskShards = 0
 		cc.Seed = workload.ShardSeed(cfg.Seed, i)
 		sys, err := New(cc)
 		if err != nil {
 			return nil, fmt.Errorf("rtdbs: cell %d: %w", i, err)
 		}
-		c := &cell{id: int32(i), sys: sys, run: r}
-		if cfg.DiskShards > 1 {
-			// Cut this cell's disk farm too: Tenants × DiskShards disk
-			// partitions plus the Tenants home partitions, all fed from
-			// the coordinator's one worker pool (wired in run).
-			c.dc, err = newDiskCell(sys, cfg.DiskShards)
-			if err != nil {
-				return nil, fmt.Errorf("rtdbs: cell %d: %w", i, err)
-			}
-		}
-		r.cells = append(r.cells, c)
+		r.cells = append(r.cells, &cell{id: int32(i), sys: sys, run: r})
 	}
 	n := len(r.cells)
 	r.stride = 1
@@ -169,12 +144,6 @@ func (r *shardedRun) run() *Results {
 	}
 	coord := sim.NewCoordinator(parts, r.cfg.Shards, r.exchange)
 	defer coord.Close()
-	for _, c := range r.cells {
-		if c.dc != nil {
-			c.dc.pool = coord.Pool()
-			c.dc.batch = coord.Pool().NewBatch()
-		}
-	}
 	coord.Run(r.cfg.Duration)
 	return r.merge(coord.Now())
 }
@@ -431,12 +400,9 @@ func (r *shardedRun) merge(now float64) *Results {
 // sequential hits, bitwise busy time), CPU busy time, buffer-pool
 // traffic, and the full termination stream, folded in cell-ID order.
 // Two runs of the same canonical config match digests exactly — for
-// any Shards and DiskShards value — or one of them simulated different
-// behavior. Kernel step counts are deliberately not folded: they count
-// bookkeeping events, which the disk cut legitimately reshapes (a
-// remote completion is one message event where the classic path fires
-// a completion plus a wake), while everything model-visible here stays
-// bit-identical.
+// any Shards value — or one of them simulated different behavior.
+// Kernel step counts are not folded: the digest covers model-visible
+// state only.
 func (r *shardedRun) digest() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -477,10 +443,9 @@ func (r *shardedRun) digest() string {
 
 // Simulate runs one configuration to completion: the classic
 // single-kernel System for single-tenant configs (on arena a, which may
-// be nil), the disk-cut path for single-tenant configs with
-// DiskShards > 1, the partitioned multi-tenant path for Tenants > 1
-// (cells own private arenas; a is unused). This is the one entry point
-// the runner and the public API dispatch through.
+// be nil), the partitioned multi-tenant path for Tenants > 1 (cells own
+// private arenas; a is unused). This is the one entry point the runner
+// and the public API dispatch through.
 func Simulate(cfg Config, a *sim.Arena) (*Results, error) {
 	if cfg.Tenants > 1 {
 		r, err := newSharded(cfg)
@@ -488,9 +453,6 @@ func Simulate(cfg Config, a *sim.Arena) (*Results, error) {
 			return nil, err
 		}
 		return r.run(), nil
-	}
-	if cfg.DiskShards > 1 {
-		return runDiskSharded(cfg, a)
 	}
 	sys, err := NewWithArena(cfg, a)
 	if err != nil {

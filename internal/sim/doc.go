@@ -58,8 +58,7 @@
 //  2. the zero-delay lane holds no live entry;
 //  3. the earliest timed event lies strictly after at (an equal time
 //     carries a lower sequence number and wins);
-//  4. at ≤ min(until of the Run in progress, run cap), read at the
-//     point of elision;
+//  4. at ≤ the until of the Run in progress;
 //  5. the service time is positive and the caller has no pending
 //     interrupt (the caller checks this one).
 //
@@ -91,32 +90,16 @@
 // parked workers created once and recruited per window with
 // non-blocking sends, allocation-free in steady state; determinism is
 // preserved because no kernel is ever observed mid-window and the
-// exchange runs single-threaded at the barrier.  A Partition that is
-// itself internally partitioned implements Advancer and fans its
-// sub-partitions out to the same pool.
+// exchange runs single-threaded at the barrier.
 //
 // Cross-partition interactions are carried by Message values ordered by
 // SortMessages under the (At, Seq, Shard) key — a total order fixed by
-// the simulation content alone.  Two coupling styles ride on that
-// order.  Barrier-time exchanges apply interactions exactly at the
-// window bound.  Timestamped in-window messages carry interactions that
-// occurred at known times strictly inside a window: the destination
-// delivers each batch via Kernel.DeliverMessage before advancing across
-// the stamped times, and the kernel files each message at its absolute
-// timestamp with a fresh sequence number, so delivering batches in
-// SortMessages order reproduces the global total order through the
-// kernel's own tie-breaking.  For replies whose time is not yet known
-// when their ordering rank must be fixed, AtCompleteHeld stamps a held
-// completion event (freezing its equal-time rank) and Place later files
-// it at its true reported time; SetRunCap/LowerRunCap bound a kernel's
-// advance below any still-unreported completion.  The combined system
-// is bit-for-bit deterministic for any worker count, including
-// workers=1: the parallelism is an execution knob, never a semantic
-// one.  The rtdbs layer builds on this twice over — multi-tenant
-// configurations run one cell per partition, coupled only through the
-// global memory broker at window barriers, and a single cell's disk
-// farm is cut across kernels with request/report messages under the
-// minimum-access-time lookahead (internal/disk's handoff protocol).
+// the simulation content alone.  The combined system is therefore
+// bit-for-bit deterministic for any worker count, including workers=1:
+// the parallelism is an execution knob, never a semantic one.  The
+// rtdbs layer builds on this to run multi-tenant configurations as one
+// cell per partition, coupled only through the global memory broker at
+// window barriers.
 //
 // # Trace sinks
 //

@@ -144,17 +144,3 @@ func TestElisionPendingInterruptNotElided(t *testing.T) {
 		t.Fatalf("Elided() = %d, server busy = %v; want 0, idle", k.Elided(), f.s.busy)
 	}
 }
-
-// TestElisionLoweredRunCapNotElided: a run cap lowered earlier in the
-// same turn bounds elision exactly as it bounds Run.
-func TestElisionLoweredRunCapNotElided(t *testing.T) {
-	k := NewKernel()
-	f := spawnBurst(k, func() { k.LowerRunCap(1) })
-	k.Run(10)
-	if f.done || k.Now() != 1 {
-		t.Fatalf("done=%v at clock %g, want parked at the cap 1", f.done, k.Now())
-	}
-	k.SetRunCap(math.Inf(1))
-	k.Run(10)
-	checkBurst(t, k, f, false)
-}

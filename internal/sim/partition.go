@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -18,18 +17,6 @@ import (
 // deterministic, the combined simulation is bit-for-bit identical for
 // any worker count — including workers = 1 — which is what lets golden
 // digests extend to the parallel path.
-//
-// Two coupling styles ride on this scaffold:
-//
-//   - Barrier-time exchanges: interactions applied exactly at the
-//     window bound (the multi-tenant memory broker).
-//   - Timestamped in-window messages: interactions that occurred at
-//     known times strictly inside the window, delivered into the
-//     destination kernel's queue via Kernel.DeliverMessage before the
-//     destination advances across them (the intra-cell disk cut).
-//     Delivering a batch in SortMessages order preserves the global
-//     (At, Seq, Shard) total order through the kernel's own sequence
-//     numbering.
 
 // Partition is one shard of a partitioned simulation. Implementations
 // wrap a kernel plus the model state that runs on it; the contract is
@@ -47,27 +34,6 @@ type Partition interface {
 	Horizon() float64
 }
 
-// Advancer is an optional Partition refinement: a partition that is
-// itself internally partitioned (e.g. a cell split across its disks)
-// and must run its own sub-protocol to reach a window bound. When a
-// partition implements Advancer, the coordinator's workers call
-// Advance(bound) instead of Kernel().Run(bound); Advance must leave
-// the partition's combined state exactly at bound.
-type Advancer interface {
-	Partition
-	Advance(bound float64)
-}
-
-// advanceOne advances a single partition to bound, through its own
-// sub-protocol when it has one.
-func advanceOne(p Partition, bound float64) {
-	if a, ok := p.(Advancer); ok {
-		a.Advance(bound)
-	} else {
-		p.Kernel().Run(bound)
-	}
-}
-
 // Pool is a persistent set of parked worker goroutines that fan a batch
 // of partitions out for one window. It replaces spawning fresh
 // goroutines per window: workers park on an unbuffered channel between
@@ -75,11 +41,7 @@ func advanceOne(p Partition, bound float64) {
 // costs a few channel operations and zero allocations in steady state.
 //
 // The caller always helps: Advance claims work items itself alongside
-// any recruited workers. That makes nested submission safe — a pool
-// worker advancing an Advancer partition may submit that partition's
-// internal fan-out to the same pool, and even with every worker busy
-// the nested call simply runs its whole batch itself instead of
-// deadlocking on a full pool.
+// any recruited workers.
 type Pool struct {
 	work  chan *Batch
 	spare int // worker goroutines beyond the calling one
@@ -136,7 +98,7 @@ func (b *Batch) exec() {
 		if i >= len(b.parts) {
 			break
 		}
-		advanceOne(b.parts[i], b.bound)
+		b.parts[i].Kernel().Run(b.bound)
 	}
 	if b.left.Add(-1) == 0 {
 		b.done <- struct{}{}
@@ -153,7 +115,7 @@ func (p *Pool) Advance(b *Batch, parts []Partition, bound float64) {
 	}
 	if p.spare == 0 || len(parts) == 1 {
 		for _, part := range parts {
-			advanceOne(part, bound)
+			part.Kernel().Run(bound)
 		}
 		return
 	}
@@ -198,23 +160,18 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over the given partitions.
 // workers bounds how many partitions advance concurrently within one
-// window (values < 1 mean sequential execution); it affects wall-clock
-// time only, never results. Workers beyond the partition count are not
-// clamped: Advancer partitions fan their internal partitions out to the
-// same pool, so the useful degree of parallelism can exceed the
-// top-level count. The workers are created once here as a persistent
-// pool and parked between windows; call Close when done with the
-// coordinator to release them. exchange may be nil for fully decoupled
-// partitions.
+// window (values < 1 mean sequential execution; values above the
+// partition count are clamped); it affects wall-clock time only, never
+// results. The workers are created once here as a persistent pool and
+// parked between windows; call Close when done with the coordinator to
+// release them. exchange may be nil for fully decoupled partitions.
 func NewCoordinator(parts []Partition, workers int, exchange func(now float64)) *Coordinator {
+	if workers > len(parts) {
+		workers = len(parts)
+	}
 	pool := NewPool(workers)
 	return &Coordinator{parts: parts, pool: pool, batch: pool.NewBatch(), exchange: exchange}
 }
-
-// Pool returns the coordinator's worker pool, shared with partitions
-// that fan out internally (Advancer implementations) so one set of
-// goroutines serves both levels of the cut.
-func (c *Coordinator) Pool() *Pool { return c.pool }
 
 // Close releases the coordinator's worker pool. The coordinator must
 // not Run again after Close.
@@ -249,13 +206,11 @@ func (c *Coordinator) Run(until float64) {
 	}
 }
 
-// Message is one cross-partition interaction record: exchanged at a
-// window barrier, or — for in-window coupling — delivered into the
-// destination kernel at its stamped time via Kernel.DeliverMessage.
-// The triple (At, Seq, Shard) is its position in the combined event
-// order; Kind and the payload words are owner-defined.
+// Message is one cross-partition interaction record, exchanged at a
+// window barrier. The triple (At, Seq, Shard) is its position in the
+// combined event order; Kind and the payload words are owner-defined.
 type Message struct {
-	// At is the simulation time of the interaction.
+	// At is the simulation time of the interaction (the barrier time).
 	At float64
 	// Seq orders messages from the same shard at the same time.
 	Seq uint64
@@ -263,10 +218,8 @@ type Message struct {
 	Shard int32
 	// Kind tags the interaction type (owner-defined).
 	Kind int32
-	// A, B, C and D are integer payload words (owner-defined).
-	A, B, C, D int64
-	// P is a float payload word (owner-defined).
-	P float64
+	// A and B are payload words (owner-defined).
+	A, B int64
 }
 
 // SortMessages puts a barrier's messages into the deterministic
@@ -288,6 +241,3 @@ func SortMessages(ms []Message) {
 		return a.Shard < b.Shard
 	})
 }
-
-// InfHorizon is the horizon of a fully decoupled partition.
-func InfHorizon() float64 { return math.Inf(1) }

@@ -58,10 +58,7 @@ const (
 
 // Kernel event kinds mirror internal/sim's typed event kinds by value
 // (sim asserts the correspondence in its tests); Cancel is an extra
-// trace-only kind recorded by Timer.Stop and hold cancels, and Message
-// is the trace name of sim's cross-partition message delivery (whose
-// 3-bit in-kernel encoding collides with Cancel's value, so the kernel
-// translates it at the sink boundary).
+// trace-only kind recorded by Timer.Stop and hold cancels.
 const (
 	KindClosure uint8 = iota
 	KindTurn
@@ -71,7 +68,6 @@ const (
 	KindComplete
 	KindCompleteQ
 	KindCancel
-	KindMessage
 )
 
 // KernelEventName returns a short human-readable name for a kernel
@@ -94,8 +90,6 @@ func KernelEventName(kind uint8) string {
 		return "complete-q"
 	case KindCancel:
 		return "cancel"
-	case KindMessage:
-		return "message"
 	}
 	return "?"
 }

@@ -231,9 +231,14 @@ func NewGenerator(cat *catalog.Catalog, dp disk.Params, mips float64,
 					cl.Name, gi, cat.NumGroups())
 			}
 		}
-		if cl.ArrivalRate < 0 {
-			return nil, fmt.Errorf("workload: class %q has negative arrival rate %g",
+		// Negated comparisons so that NaN fails them too.
+		if !(cl.ArrivalRate >= 0) || math.IsInf(cl.ArrivalRate, 0) {
+			return nil, fmt.Errorf("workload: class %q ArrivalRate %g is not a finite non-negative rate",
 				cl.Name, cl.ArrivalRate)
+		}
+		if !(cl.SlackRange[0] >= 0) || !(cl.SlackRange[1] >= 0) {
+			return nil, fmt.Errorf("workload: class %q SlackRange %v holds a negative or NaN slack ratio",
+				cl.Name, cl.SlackRange)
 		}
 		if cl.Population < 0 {
 			return nil, fmt.Errorf("workload: class %q has negative population %d",

@@ -1,6 +1,8 @@
 package pmm_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pmm"
@@ -63,5 +65,46 @@ func TestDefaultParamsExposed(t *testing.T) {
 	}
 	if pmm.DefaultPMMConfig().SampleSize != 30 {
 		t.Fatal("PMM defaults")
+	}
+}
+
+// TestConfigRejectsMalformed: malformed configurations come back from
+// Run as an error naming the offending field — never a panic deep in
+// the simulation, and never a run that cannot terminate. NaN must fail
+// every check, so each is written as a negated comparison.
+func TestConfigRejectsMalformed(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	phased := func(rate float64) func(*pmm.Config) {
+		return func(c *pmm.Config) {
+			c.Phases = []pmm.Phase{{Duration: 300, Rates: []float64{rate}}}
+		}
+	}
+	cases := []struct {
+		name, field string
+		mutate      func(*pmm.Config)
+	}{
+		{"negative RelPerDisk", "RelPerDisk", func(c *pmm.Config) { c.Groups[0].RelPerDisk = -1 }},
+		{"negative SizeRange", "SizeRange", func(c *pmm.Config) { c.Groups[0].SizeRange = [2]int{-10, -5} }},
+		{"negative SlackRange", "SlackRange", func(c *pmm.Config) { c.Classes[0].SlackRange = [2]float64{-3, -1} }},
+		{"infinite ArrivalRate", "ArrivalRate", func(c *pmm.Config) { c.Classes[0].ArrivalRate = inf }},
+		{"NaN ArrivalRate", "ArrivalRate", func(c *pmm.Config) { c.Classes[0].ArrivalRate = nan }},
+		{"infinite phase rate", "Phases", phased(inf)},
+		{"NaN phase rate", "Phases", phased(nan)},
+		{"NaN Duration", "Duration", func(c *pmm.Config) { c.Duration = nan }},
+		{"infinite Duration", "Duration", func(c *pmm.Config) { c.Duration = inf }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := pmm.BaselineConfig()
+			cfg.Duration = 600
+			tc.mutate(&cfg)
+			_, err := pmm.Run(cfg)
+			if err == nil {
+				t.Fatal("Run accepted the config")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }
