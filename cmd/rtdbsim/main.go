@@ -133,6 +133,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
+	if !(*rate >= 0) {
+		fail(fmt.Errorf("-rate must be a non-negative number of queries/sec (0 = preset default), got %g", *rate))
+	}
 	if *rate > 0 {
 		cfg.Classes[0].ArrivalRate = *rate
 		if len(cfg.Phases) > 0 {

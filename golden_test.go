@@ -1,10 +1,14 @@
 package pmm_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"pmm"
+	"pmm/internal/trace"
 )
 
 // TestGoldenKernelDigests pins a digest of one shortened BaselineConfig
@@ -312,4 +316,75 @@ func TestGoldenOverloadDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenTraceStreamDigest pins the traced event stream itself, not
+// just its effect on results: a SHA-256 over every record the collector
+// holds (kernel dispatches and cancels, gate transitions, spans, instants
+// and samples) for 600 s BaselineConfig PMM runs whose firm deadlines
+// abort queries mid-wait — once at the nominal rate and once overloaded
+// with deadline pacing, where aborts and cancels are dense. Any change
+// to which kernel events exist, to their (time, seq) stamps, kinds or
+// payloads, or to the cancel record an interrupt leaves behind moves the
+// digest. Captured before disk completions carried their caller's wake.
+func TestGoldenTraceStreamDigest(t *testing.T) {
+	golden := []struct {
+		name   string
+		rate   float64
+		pace   float64
+		digest string
+	}{
+		{"Baseline", 0.06, 0, "c04ffac393eef2e6893346710b82ba00331059aad4518bf5f3a5d7d5c5f926ef"},
+		{"OverloadPaced", 0.10, 1, "1a3a857a2cbd94892f095ccf342945c8e2a2bffc06180319003a7d7b54813824"},
+	}
+	for _, g := range golden {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := pmm.BaselineConfig()
+			cfg.Seed = 42
+			cfg.Duration = 600
+			cfg.Classes[0].ArrivalRate = g.rate
+			cfg.PaceFactor = g.pace
+			cfg.Policy = pmm.PolicyConfig{Kind: pmm.PolicyPMM}
+			res, tr, err := pmm.RunTraced(cfg, pmm.TraceWindow{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Missed == 0 {
+				t.Fatal("the run aborted no query: it no longer exercises interrupts")
+			}
+			c := tr.Shards[0]
+			cancels := 0
+			for _, e := range c.Kernel() {
+				if e.Kind == trace.KindCancel {
+					cancels++
+				}
+			}
+			if cancels == 0 {
+				t.Fatal("the trace holds no cancel records")
+			}
+			if got := collectorDigest(t, c); got != g.digest {
+				t.Errorf("trace stream digest = %s, want %s", got, g.digest)
+			}
+		})
+	}
+}
+
+// collectorDigest hashes every record of c, kind by kind, in
+// encoding/binary's fixed-size little-endian layout, after the record
+// counts.
+func collectorDigest(t *testing.T, c *trace.Collector) string {
+	t.Helper()
+	h := sha256.New()
+	k, g, sp, in, sa := c.Counts()
+	for _, v := range []any{
+		[]int64{int64(k), int64(g), int64(sp), int64(in), int64(sa)},
+		c.Kernel(), c.Gates(), c.Spans(), c.Instants(), c.Samples(),
+	} {
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -5,9 +5,22 @@
 // Reserved buffers are managed by the operators themselves, so the pool
 // tracks only their counts; the LRU cache tracks page identities for the
 // unreserved portion and shrinks as reservations grow.
+//
+// The LRU cache sits on the path of every simulated block I/O, so it is
+// built from flat slices and never touches a Go map there. Cached pages
+// are nodes of a doubly-linked list, pooled in one slice and linked by
+// index. The index from page key to node is an open-addressed hash
+// table of node ids: a power-of-two table kept at most half full,
+// multiply-shift hashing, and linear probing. Deletion shifts the rest
+// of the probe run back into the hole, so the table holds no
+// tombstones, and it doubles when an insert would pass half full. Key
+// equality is checked against the node the entry points to.
 package buffer
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PageKey identifies a cached page: a file (relation or temp) and a page
 // number within it.
@@ -28,8 +41,12 @@ type lruNode struct {
 	next, prev int32
 }
 
-// nilNode terminates LRU links and the free list.
+// nilNode terminates LRU links and the free list, and marks an empty
+// index entry.
 const nilNode = int32(-1)
+
+// minIndex is the initial index size: 8 cached pages before it grows.
+const minIndex = 16
 
 // Pool is the buffer pool.
 type Pool struct {
@@ -37,12 +54,16 @@ type Pool struct {
 	reserved map[int64]int // reservation per owner id
 	sumRes   int
 
-	nodes   []lruNode         // pooled LRU nodes
-	head    int32             // most recently used (nilNode when empty)
-	tail    int32             // least recently used (nilNode when empty)
-	free    int32             // vacant-node list through next
-	count   int               // cached pages
-	lruPos  map[PageKey]int32 // key → node index
+	nodes []lruNode // pooled LRU nodes
+	head  int32     // most recently used (nilNode when empty)
+	tail  int32     // least recently used (nilNode when empty)
+	free  int32     // vacant-node list through next
+	count int       // cached pages
+	// index maps page keys to nodes: a power-of-two open-addressed table
+	// of node ids (nilNode when empty), at most half full. shift is 64
+	// minus log2(len(index)), the multiply-shift hash's output width.
+	index   []int32
+	shift   uint8
 	hits    uint64
 	misses  uint64
 	evicted uint64
@@ -53,13 +74,80 @@ func NewPool(total int) *Pool {
 	if total <= 0 {
 		panic(fmt.Sprintf("buffer: pool of %d pages", total))
 	}
-	return &Pool{
+	p := &Pool{
 		total:    total,
 		reserved: make(map[int64]int),
 		head:     nilNode,
 		tail:     nilNode,
 		free:     nilNode,
-		lruPos:   make(map[PageKey]int32),
+	}
+	p.resize(minIndex)
+	return p
+}
+
+// hash is the home slot of key: a multiply-shift hash of the file id
+// and page number packed into one word.
+func (p *Pool) hash(key PageKey) int {
+	x := uint64(key.File)<<32 ^ uint64(uint32(key.Page))
+	return int(x * 0x9e3779b97f4a7c15 >> p.shift)
+}
+
+// find probes for key. It returns the slot holding key and its node, or
+// the empty slot that ends the probe run and nilNode.
+func (p *Pool) find(key PageKey) (slot int, id int32) {
+	mask := len(p.index) - 1
+	for slot = p.hash(key); ; slot = (slot + 1) & mask {
+		if id = p.index[slot]; id < 0 || p.nodes[id].key == key {
+			return slot, id
+		}
+	}
+}
+
+// unindex removes node id from the index. Linear probing needs every
+// entry reachable from its home slot without crossing an empty one, so
+// instead of leaving a tombstone the deletion walks the rest of the
+// probe run and moves back each entry whose home lies at or before the
+// hole, then empties the last hole.
+func (p *Pool) unindex(id int32) {
+	mask := len(p.index) - 1
+	i := p.hash(p.nodes[id].key)
+	for p.index[i] != id {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		e := p.index[j]
+		if e < 0 {
+			break
+		}
+		// e may fill the hole at i unless its home lies cyclically in
+		// (i, j]: probing from there would never reach i.
+		if (j-p.hash(p.nodes[e].key))&mask >= (j-i)&mask {
+			p.index[i] = e
+			i = j
+		}
+	}
+	p.index[i] = nilNode
+}
+
+// resize rebuilds the index at n slots, a power of two, and reinserts
+// every cached page.
+func (p *Pool) resize(n int) {
+	old := p.index
+	p.index = make([]int32, n)
+	for i := range p.index {
+		p.index[i] = nilNode
+	}
+	p.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for _, id := range old {
+		if id < 0 {
+			continue
+		}
+		i := p.hash(p.nodes[id].key)
+		for p.index[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		p.index[i] = id
 	}
 }
 
@@ -146,10 +234,9 @@ func (p *Pool) linkFront(id int32) {
 // evictBack drops the least-recently-used page and recycles its node.
 func (p *Pool) evictBack() {
 	id := p.tail
-	n := &p.nodes[id]
-	delete(p.lruPos, n.key)
+	p.unindex(id)
 	p.unlink(id)
-	n.next = p.free
+	p.nodes[id].next = p.free
 	p.free = id
 	p.count--
 	p.evicted++
@@ -166,7 +253,7 @@ func (p *Pool) shrinkLRU() {
 // Lookup reports whether the page is cached in the unreserved pool and,
 // if so, promotes it to most recently used.
 func (p *Pool) Lookup(key PageKey) bool {
-	if id, ok := p.lruPos[key]; ok {
+	if _, id := p.find(key); id >= 0 {
 		if p.head != id {
 			p.unlink(id)
 			p.linkFront(id)
@@ -185,17 +272,25 @@ func (p *Pool) Insert(key PageKey) {
 	if p.Free() == 0 {
 		return
 	}
-	if id, ok := p.lruPos[key]; ok {
+	slot, id := p.find(key)
+	if id >= 0 {
 		if p.head != id {
 			p.unlink(id)
 			p.linkFront(id)
 		}
 		return
 	}
+	// Evicting or growing moves index entries, so the key's slot is
+	// probed again afterwards. An eviction frees the entry the new page
+	// takes, so only an insert without one can pass half full.
 	if p.count >= p.Free() {
 		p.evictBack()
+		slot, _ = p.find(key)
+	} else if 2*(p.count+1) > len(p.index) {
+		p.resize(2 * len(p.index))
+		slot, _ = p.find(key)
 	}
-	id := p.free
+	id = p.free
 	if id >= 0 {
 		p.free = p.nodes[id].next
 	} else {
@@ -203,25 +298,9 @@ func (p *Pool) Insert(key PageKey) {
 		id = int32(len(p.nodes) - 1)
 	}
 	p.nodes[id].key = key
-	p.lruPos[key] = id
+	p.index[slot] = id
 	p.linkFront(id)
 	p.count++
-}
-
-// Invalidate drops all cached pages of the given file, e.g. when a temp
-// file is deleted and its identity may be recycled.
-func (p *Pool) Invalidate(file int64) {
-	for id := p.head; id >= 0; {
-		next := p.nodes[id].next
-		if p.nodes[id].key.File == file {
-			delete(p.lruPos, p.nodes[id].key)
-			p.unlink(id)
-			p.nodes[id].next = p.free
-			p.free = id
-			p.count--
-		}
-		id = next
-	}
 }
 
 // Stats returns cache hit/miss/eviction counters.

@@ -101,23 +101,6 @@ func TestReservationShrinksCache(t *testing.T) {
 	}
 }
 
-func TestInvalidateFile(t *testing.T) {
-	p := NewPool(10)
-	for i := 0; i < 4; i++ {
-		p.Insert(PageKey{File: 1, Page: int32(i)})
-		p.Insert(PageKey{File: 2, Page: int32(i)})
-	}
-	p.Invalidate(1)
-	for i := 0; i < 4; i++ {
-		if p.Lookup(PageKey{File: 1, Page: int32(i)}) {
-			t.Fatal("invalidated page still cached")
-		}
-		if !p.Lookup(PageKey{File: 2, Page: int32(i)}) {
-			t.Fatal("unrelated page evicted")
-		}
-	}
-}
-
 func TestReinsertPromotes(t *testing.T) {
 	p := NewPool(2)
 	a := PageKey{File: 1, Page: 0}
@@ -161,5 +144,206 @@ func TestCacheInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refPool is the reference model FuzzPoolMatchesReference checks Pool
+// against: a plain map of reservations and a slice holding the LRU
+// order, most recently used first.
+type refPool struct {
+	total, sumRes         int
+	res                   map[int64]int
+	lru                   []PageKey
+	hits, misses, evicted uint64
+}
+
+func (r *refPool) free() int { return r.total - r.sumRes }
+
+func (r *refPool) pos(key PageKey) int {
+	for i, k := range r.lru {
+		if k == key {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refPool) promote(i int) {
+	key := r.lru[i]
+	copy(r.lru[1:i+1], r.lru[:i])
+	r.lru[0] = key
+}
+
+func (r *refPool) shrink() {
+	for len(r.lru) > r.free() {
+		r.lru = r.lru[:len(r.lru)-1]
+		r.evicted++
+	}
+}
+
+func (r *refPool) lookup(key PageKey) bool {
+	if i := r.pos(key); i >= 0 {
+		r.promote(i)
+		r.hits++
+		return true
+	}
+	r.misses++
+	return false
+}
+
+func (r *refPool) insert(key PageKey) {
+	if r.free() == 0 {
+		return
+	}
+	if i := r.pos(key); i >= 0 {
+		r.promote(i)
+		return
+	}
+	if len(r.lru) >= r.free() {
+		r.lru = r.lru[:len(r.lru)-1]
+		r.evicted++
+	}
+	r.lru = append([]PageKey{key}, r.lru...)
+}
+
+// checkAgainst compares p with the reference: counters, cache size,
+// LRU order, and the index's own invariants (every cached page found at
+// one slot, no stray entries, at most half full).
+func (r *refPool) checkAgainst(t *testing.T, p *Pool) {
+	t.Helper()
+	hits, misses, evicted := p.Stats()
+	if hits != r.hits || misses != r.misses || evicted != r.evicted {
+		t.Fatalf("stats hits/misses/evicted = %d/%d/%d, reference %d/%d/%d",
+			hits, misses, evicted, r.hits, r.misses, r.evicted)
+	}
+	if p.Cached() != len(r.lru) || p.Free() != r.free() || p.Reserved() != r.sumRes {
+		t.Fatalf("cached=%d free=%d reserved=%d, reference %d/%d/%d",
+			p.Cached(), p.Free(), p.Reserved(), len(r.lru), r.free(), r.sumRes)
+	}
+	i := 0
+	for id := p.head; id >= 0; id = p.nodes[id].next {
+		if i >= len(r.lru) || p.nodes[id].key != r.lru[i] {
+			t.Fatalf("LRU position %d holds %v, reference order %v", i, p.nodes[id].key, r.lru)
+		}
+		i++
+	}
+	if i != len(r.lru) {
+		t.Fatalf("LRU list has %d pages, reference %d", i, len(r.lru))
+	}
+	entries := 0
+	for _, id := range p.index {
+		if id >= 0 {
+			entries++
+		}
+	}
+	if entries != p.count || 2*p.count > len(p.index) {
+		t.Fatalf("index holds %d entries in %d slots for %d cached pages", entries, len(p.index), p.count)
+	}
+	for _, key := range r.lru {
+		if _, id := p.find(key); id < 0 {
+			t.Fatalf("cached page %v unreachable through the index", key)
+		}
+	}
+}
+
+// FuzzPoolMatchesReference drives Pool and the map-and-list reference
+// through the same Lookup/Insert/SetReservation/SetTotal sequence and
+// demands equal hits, misses, evictions and LRU order after every
+// operation. The input's first byte sizes the pool; each later
+// operation takes four bytes: the kind, then a file (or owner) byte and
+// a 16-bit page number (or page count). Invalid resizes and
+// reservations (over-commit, below the reserved total) are skipped.
+func FuzzPoolMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0})
+	// Growth: a large pool filled with distinct pages, then reread.
+	growth := []byte{255}
+	for pg := 0; pg < 200; pg++ {
+		growth = append(growth, 1, byte(pg%3), byte(pg), 0)
+	}
+	for pg := 0; pg < 200; pg += 7 {
+		growth = append(growth, 0, byte(pg%3), byte(pg), 0)
+	}
+	f.Add(growth)
+	// Collisions: pages sharing one home slot of the initial index,
+	// inserted into a smaller pool so that evictions and promotions cut
+	// into their probe run, then inserted again.
+	probe := NewPool(1)
+	home := probe.hash(PageKey{File: 1, Page: 0})
+	collide := []byte{6}
+	for pg := 0; pg < 1<<16 && len(collide) < 1+4*10; pg++ {
+		if probe.hash(PageKey{File: 1, Page: int32(pg)}) == home {
+			collide = append(collide, 1, 1, byte(pg), byte(pg>>8))
+		}
+	}
+	collide = append(collide, collide[1:]...)
+	collide = append(collide, 2, 1, 4, 0, 3, 0, 3, 0, 3, 0, 7, 0)
+	f.Add(collide)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		total := int(data[0]) + 1
+		p := NewPool(total)
+		r := &refPool{total: total, res: make(map[int64]int)}
+		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
+			key := PageKey{File: int64(ops[1] % 8), Page: int32(ops[2]) | int32(ops[3])<<8}
+			n := int(key.Page)
+			switch ops[0] % 4 {
+			case 0:
+				if got, want := p.Lookup(key), r.lookup(key); got != want {
+					t.Fatalf("Lookup(%v) = %v, reference %v", key, got, want)
+				}
+			case 1:
+				p.Insert(key)
+				r.insert(key)
+			case 2:
+				owner := int64(ops[1] % 4)
+				n %= r.total + 1
+				if r.sumRes-r.res[owner]+n > r.total {
+					continue
+				}
+				p.SetReservation(owner, n)
+				r.sumRes += n - r.res[owner]
+				r.res[owner] = n
+				r.shrink()
+			case 3:
+				n %= 512
+				if n < r.sumRes || n == 0 {
+					continue
+				}
+				p.SetTotal(n)
+				r.total = n
+				r.shrink()
+			}
+			r.checkAgainst(t, p)
+		}
+	})
+}
+
+// BenchmarkPoolLookupInsert measures the per-I/O cache path: look a
+// page up and, on a miss, insert it, evicting the LRU page. Pages are
+// drawn at random from twice the cache's capacity, so about half the
+// lookups miss. Steady state must be 0 allocs/op.
+func BenchmarkPoolLookupInsert(b *testing.B) {
+	const pages = 1024
+	p := NewPool(pages)
+	x := uint32(1)
+	access := func() {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		key := PageKey{File: int64(x % 4), Page: int32(x>>2) % (pages / 2)}
+		if !p.Lookup(key) {
+			p.Insert(key)
+		}
+	}
+	for i := 0; i < 4*pages; i++ {
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
 	}
 }

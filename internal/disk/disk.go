@@ -112,8 +112,10 @@ type Disk struct {
 	// Allocation-free service plumbing: completions are typed kernel
 	// events addressing the disk by its registered completer id, and the
 	// in-service entry is carried in cur rather than captured in
-	// per-dispatch closures.
+	// per-dispatch closures. rider is the caller of a direct serve on
+	// the idle disk, whose wake the direct completion delivers.
 	cur    *sim.Waiting
+	rider  sim.Ride
 	compID int32
 
 	// The 256 KB prefetch cache tracks a small number of concurrent
@@ -280,20 +282,21 @@ func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, fil
 func (d *Disk) start(t sim.Task, prio float64, req *Request) (entered, ok bool) {
 	d.clamp(req)
 	if !d.busy {
-		// Idle disk: serve immediately, exactly as serveDirect does for
-		// the blocking path — disk-side completion scheduled before the
-		// caller's hold timer. The request is fully consumed here, so the
-		// caller may reuse the scratch record as soon as it resumes.
+		// Idle disk: serve immediately. The caller waits in a
+		// cancellable hold that rides on the completion, which frees the
+		// disk before it wakes the caller. The request is fully consumed
+		// here, so the caller may reuse the scratch record as soon as it
+		// resumes.
 		d.busy = true
 		d.meter.SetBusy(true)
 		service := d.serviceTime(req)
 		// Elided: the completion, the hold wake and the resumed turn.
 		if service > 0 && !t.PendingInterrupt() && d.k.Elide(d.k.Now()+service, 3) {
-			d.completeDirect()
+			d.finish()
 			return false, true
 		}
-		d.k.AtComplete(service, d.compID, true)
-		return t.StartHold(service), false
+		d.rider, entered = d.k.AtCompleteRide(service, d.compID, t)
+		return entered, false
 	}
 	// Queued: the scratch record backs the queue entry until dispatch
 	// reads its service parameters or an interrupt unlinks the entry.
@@ -337,9 +340,17 @@ func (d *Disk) Complete(direct bool) {
 	}
 }
 
-// completeDirect finishes a directly served request; the caller's own
-// hold timer (scheduled after this event) wakes it separately.
+// completeDirect finishes a directly served request: the disk is freed
+// (dispatching the next queued request) before the rider's wake is
+// delivered, the order a separate hold wake event would give.
 func (d *Disk) completeDirect() {
+	d.finish()
+	d.k.DeliverRide(d.rider)
+}
+
+// finish counts a served request, marks the disk idle and dispatches
+// the next queued request.
+func (d *Disk) finish() {
 	d.served++
 	d.busy = false
 	d.meter.SetBusy(false)

@@ -104,6 +104,50 @@ func TestElisionDiskAccess(t *testing.T) {
 	}
 }
 
+// TestInterruptDuringDirectTransfer: an interrupt that lands while an
+// idle disk serves its caller directly resumes the caller at once with
+// ok=false, because the caller's wait is a cancellable hold, not an
+// uncancellable section. The transfer still completes on the disk's
+// timeline, and the caller's next hold runs from the interrupt, not
+// from the transfer's end. A timer pending at t=100 keeps the access
+// from being elided.
+func TestInterruptDuringDirectTransfer(t *testing.T) {
+	k, m := newTestManager(t, 1, 100)
+	d := m.Disk(0)
+	k.At(100, func() {})
+	var req Request
+	var p *sim.InlineProc
+	entered, ok := false, true
+	var resumed, held float64
+	p = k.SpawnInline("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+		func(m *sim.Machine, _ bool) sim.Status {
+			entered, _ = d.StartAccess(p, 1, 700, 6, &req)
+			return sim.Park
+		},
+		func(m *sim.Machine, got bool) sim.Status {
+			ok, resumed = got, p.Now()
+			if !p.StartHold(1) {
+				return m.Return(false)
+			}
+			return sim.Park
+		},
+		func(m *sim.Machine, _ bool) sim.Status {
+			held = p.Now()
+			return m.Return(true)
+		},
+	}})
+	k.AtInterrupt(0.001, p)
+	k.Drain()
+	if !entered || ok || resumed != 0.001 || held != 0.001+1 {
+		t.Fatalf("entered=%v ok=%v resumed at %g, hold ended at %g; want true, false, 0.001, 1.001",
+			entered, ok, resumed, held)
+	}
+	if d.Served() != 1 || d.busy || k.Elided() != 0 || k.Steps() != 7 {
+		t.Fatalf("served=%d busy=%v elided=%d steps=%d; want 1, false, 0, 7",
+			d.Served(), d.busy, k.Elided(), k.Steps())
+	}
+}
+
 func TestEDPriorityOrder(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
@@ -383,5 +427,73 @@ func TestRegionAllocProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// accessLoopFrame makes left back-to-back accesses to one disk,
+// alternating between two cylinders, parking whenever an access is not
+// elided.
+type accessLoopFrame struct {
+	sim.FrameState
+	t    sim.Task
+	d    *Disk
+	req  Request
+	left int
+}
+
+func (f *accessLoopFrame) Step(m *sim.Machine, ok bool) sim.Status {
+	for {
+		switch f.PC {
+		case 0:
+			if f.left == 0 {
+				return m.Return(true)
+			}
+			f.left--
+			f.PC = 1
+			var entered bool
+			if entered, ok = f.d.StartAccess(f.t, 1, 600+200*(f.left&1), 6, &f.req); entered {
+				return sim.Park
+			}
+		case 1:
+			if !ok {
+				return m.Return(false)
+			}
+			f.PC = 0
+		}
+	}
+}
+
+// BenchmarkDiskDirectAccess measures the idle disk's direct path when
+// it cannot be elided: a lone reader makes back-to-back accesses while
+// a 5 ms ticker keeps an earlier event pending, so every access queues
+// its completion and parks its caller on it. Steady state must be 0
+// allocs/op.
+func BenchmarkDiskDirectAccess(b *testing.B) {
+	k := sim.NewKernel()
+	p := DefaultParams()
+	p.NumDisks = 1
+	m, err := NewManager(k, p, 100, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const warm = 16
+	f := &accessLoopFrame{d: m.Disk(0), left: b.N + warm}
+	f.t = k.SpawnInline("reader", f)
+	var tick func()
+	tick = func() {
+		if f.left > 0 {
+			k.At(0.005, tick)
+		}
+	}
+	k.At(0.005, tick)
+	for f.left > b.N {
+		k.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Drain()
+	b.StopTimer()
+	if k.Elided() != 0 || m.Disk(0).Served() != uint64(b.N+warm) {
+		b.Fatalf("elided %d, served %d of %d accesses", k.Elided(), m.Disk(0).Served(), b.N+warm)
 	}
 }

@@ -29,25 +29,8 @@ func (d *Disk) AccessSeq(p *sim.Proc, prio float64, cylinder, pages int, file in
 }
 
 func (d *Disk) access(p *sim.Proc, prio float64, req *Request) bool {
-	d.clamp(req)
-	if !d.busy {
-		// Idle disk: serve immediately. Queueing through the gate keeps
-		// interrupt semantics uniform but we can dispatch synchronously.
-		return d.serveDirect(p, req)
+	if entered, ok := d.start(p, prio, req); !entered {
+		return ok
 	}
-	return d.gate.Wait(p, prio, req)
-}
-
-// serveDirect services a request for the calling process on an idle disk.
-// The disk-side completion event is scheduled before the caller's hold
-// timer, so disk state is updated (and the next request dispatched)
-// before the caller resumes. If the caller is interrupted mid-transfer it
-// unwinds immediately, but the transfer itself still completes on the
-// disk's timeline.
-func (d *Disk) serveDirect(p *sim.Proc, req *Request) bool {
-	d.busy = true
-	d.meter.SetBusy(true)
-	service := d.serviceTime(req)
-	d.k.AtComplete(service, d.compID, true)
-	return p.Hold(service)
+	return p.Await()
 }

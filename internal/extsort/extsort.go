@@ -372,11 +372,12 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.fanIn = fi
 			f.final = fi == len(s.runs)
 			// Merge the shortest runs first (fewest pages re-read over the
-			// remaining passes).
+			// remaining passes). The step's inputs are copied into the
+			// frame's reused slice; the rest stays in place in s.runs,
+			// and its tail receives the step's output run.
 			sortRunsByPages(s.runs)
-			f.inputs = make([]run, fi)
-			copy(f.inputs, s.runs[:fi])
-			f.rest = append([]run(nil), s.runs[fi:]...)
+			f.inputs = append(f.inputs[:0], s.runs[:fi]...)
+			f.rest = s.runs[fi:]
 
 			f.total = 0
 			for _, in := range f.inputs {
@@ -390,7 +391,7 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if !f.final {
 				f.out = s.newFile(f.total)
 			}
-			f.cursors = make([]int, fi)
+			f.cursors = append(f.cursors[:0], make([]int, fi)...)
 			f.produced = 0
 			f.pending = 0 // output pages buffered toward the next write
 			f.active = fi // inputs with unread pages

@@ -39,7 +39,9 @@ type SweepTrace struct {
 // jobs then share one ETA denominator.
 type Progress struct {
 	// Stream, when non-nil, receives one line per completed job and a
-	// final summary line (typically os.Stderr).
+	// final summary line (typically os.Stderr). Lines are written under
+	// the Progress's lock, one at a time and in completion order, so
+	// Stream's Write must not call back into the Progress.
 	Stream io.Writer
 
 	// Every, when > 0, throttles streaming to every Nth completion
@@ -106,15 +108,10 @@ func (p *Progress) jobDone(key string, rep int, hit bool, wall time.Duration) {
 		p.simWall += wall
 	}
 	p.done++
-	stream := p.Stream != nil && (p.Every <= 0 || p.done%p.Every == 0 || p.done == p.scheduled)
-	var line string
-	if stream {
-		line = p.formatLine(key, rep, hit, wall)
+	if p.Stream != nil && (p.Every <= 0 || p.done%p.Every == 0 || p.done == p.scheduled) {
+		fmt.Fprintln(p.Stream, p.formatLine(key, rep, hit, wall))
 	}
 	p.mu.Unlock()
-	if stream {
-		fmt.Fprintln(p.Stream, line)
-	}
 }
 
 // formatLine renders one completion line; callers hold p.mu.

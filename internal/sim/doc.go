@@ -73,6 +73,26 @@
 // completions run inline. There is no switch: attaching a sink turns
 // elision off, which is how the conformance tests compare the two paths.
 //
+// # Riding wakes
+//
+// When an idle disk's access is not elided, its caller still waits
+// through a queued completion, but not through a second event. A plain
+// hold for the service time would queue a wake at the completion's
+// time with the very next sequence number, which nothing could ever
+// overtake. Kernel.AtCompleteRide schedules the completion and parks
+// the caller in a ride instead. A ride is a hold with no slot: it
+// reserves that next sequence number and stays cancellable, so an
+// interrupt resumes the caller at once and reports the reserved number
+// to the sink as a cancel. The completer frees the disk, dispatches the
+// next request, then calls Kernel.DeliverRide. If the ride is still
+// armed, DeliverRide counts a step, reports the same evWake dispatch to
+// the sink and resumes the caller. So Steps, sequence numbers, digests
+// and the trace stream are those of the plain hold, and the path is the
+// same with a sink attached or not. Elision is
+// unchanged and still counts 3 events per disk access. The CPU needs no
+// ride: its direct burst is uncancellable, and its completion resumes
+// the caller directly.
+//
 // # Partitioned execution
 //
 // A simulation too large for one kernel can be sharded across several

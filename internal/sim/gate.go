@@ -174,7 +174,7 @@ func (g *Gate) wait(p *Proc, prio float64, data any, val float64) bool {
 		return false
 	}
 	g.enqueue(&p.taskCore, prio, data, val)
-	return !p.park().interrupted
+	return p.Await()
 }
 
 // Enqueue is the inline-process counterpart of Wait/WaitVal: it queues t

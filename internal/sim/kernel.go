@@ -573,6 +573,54 @@ func (k *Kernel) AtComplete(delay float64, comp int32, direct bool) {
 	k.sched(delay, id, s, seq)
 }
 
+// Ride is the handle of a caller parked on a direct service completion
+// by AtCompleteRide: the task and the sequence number reserved for its
+// wake. It holds no pointer. No armed ride carries sequence number 0
+// (the completion it rides on takes an earlier one), so the zero Ride
+// delivers nothing.
+type Ride struct {
+	seq uint64
+	tid int32
+}
+
+// AtCompleteRide schedules a direct service completion, exactly as
+// AtComplete(delay, comp, true), and parks t until it fires. It stands
+// in for AtComplete followed by t.StartHold(delay). That hold's wake
+// would fire at the same time with the very next sequence number, so no
+// event could ever come between the two. The completion therefore
+// delivers the wake itself, via DeliverRide, and no second event is
+// queued. The caller's wait stays a cancellable hold: an interrupt
+// resumes it at once and reports the reserved sequence number to the
+// sink as a cancel, as stopping the hold timer would. entered is false
+// when a pending interrupt consumed the wait; the completion is
+// scheduled either way.
+func (k *Kernel) AtCompleteRide(delay float64, comp int32, t Task) (r Ride, entered bool) {
+	k.AtComplete(delay, comp, true)
+	c := t.core()
+	if !c.startRide() {
+		return Ride{}, false
+	}
+	return Ride{seq: c.holdSeq, tid: c.tid}, true
+}
+
+// DeliverRide delivers the wake of ride r if its hold is still armed:
+// the task sits in that very ride (same kind, same sequence number).
+// The wake counts as a step and reaches the sink as the same evWake
+// dispatch the timed wake event would have produced. A ride whose wait
+// an interrupt ended delivers nothing. Completers call it after their
+// own completion effects, where the wake event would have fired.
+func (k *Kernel) DeliverRide(r Ride) {
+	c := k.tasks[r.tid]
+	if c.state != procParked || c.cancel != cancelRide || c.holdSeq != r.seq {
+		return
+	}
+	k.steps++
+	if k.sink != nil {
+		k.sink.Dispatch(k.now, r.seq, evWake, r.tid)
+	}
+	c.deliverWake(false)
+}
+
 // skipStaleLane advances past cancelled entries at the lane head,
 // reporting whether a live lane event is pending. Turn entries are
 // slot-free and uncancellable, so they are always live.

@@ -74,13 +74,22 @@ func (p *Proc) park() outcome {
 	return out
 }
 
+// Await blocks the process in the wait that its last Start* call
+// entered (StartHold, StartPark, Gate.Enqueue, Server.StartUse, or a
+// resource access built on them) and returns false iff the wait was
+// interrupted. It is the blocking half a Start* call leaves to its
+// caller, so call it only after that call reported entered=true.
+func (p *Proc) Await() (ok bool) {
+	return !p.park().interrupted
+}
+
 // Hold suspends the process for dt simulated seconds. It returns false
 // if the process was interrupted before the time elapsed.
 func (p *Proc) Hold(dt float64) (ok bool) {
 	if !p.StartHold(dt) {
 		return false
 	}
-	return !p.park().interrupted
+	return p.Await()
 }
 
 // Park blocks until another component calls Wake or Interrupt.
@@ -89,5 +98,5 @@ func (p *Proc) Park() (ok bool) {
 	if !p.StartPark() {
 		return false
 	}
-	return !p.park().interrupted
+	return p.Await()
 }

@@ -70,7 +70,7 @@ func (s *Server) Use(p *Proc, prio float64, service float64) bool {
 	if entered, ok := s.StartUse(p, prio, service); !entered {
 		return ok
 	}
-	return !p.park().interrupted
+	return p.Await()
 }
 
 // StartUse is the inline-process counterpart of Use: it enters the

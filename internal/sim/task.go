@@ -36,8 +36,9 @@ const (
 type cancelKind int8
 
 const (
-	// cancelNone marks an uncancellable section (e.g. a disk transfer);
-	// interrupts are deferred to its completion.
+	// cancelNone marks an uncancellable section (e.g. a CPU burst or a
+	// dispatched disk transfer); interrupts are deferred to its
+	// completion.
 	cancelNone cancelKind = iota
 	// cancelTimer: the wait is a Hold; cancelling stops the hold timer,
 	// which unlinks the pending wake from its timing-wheel bucket in
@@ -51,6 +52,11 @@ const (
 	// of wait that Wake may resume; Wake must never tear a process out
 	// of a timer or a scheduler queue.
 	cancelPlain
+	// cancelRide: the wait is a slot-free hold whose wake rides on a
+	// resource's completion (Kernel.AtCompleteRide). holdSeq is the
+	// wake's reserved sequence number; cancelling reports it to the sink
+	// and leaves the completion to deliver nothing.
+	cancelRide
 )
 
 // outcome is what a wake delivers to a parked process.
@@ -79,11 +85,14 @@ type Task interface {
 	// by the owning primitive. For a timed wake, schedule Kernel.AtWake.
 	Wake()
 	// Interrupt aborts the process's current blocking operation. A
-	// cancellable wait (hold, plain park, gate queue) is torn down and
-	// resumes immediately with an interrupted outcome; an uncancellable
-	// section (in-service disk transfer or CPU burst) completes first
-	// and then reports the interruption. Interrupting a dead process is
-	// a no-op.
+	// cancellable wait (hold, plain park, gate queue, or the wait on an
+	// idle disk's direct transfer, which is a hold riding on the
+	// transfer's completion) is torn down and resumes immediately with
+	// an interrupted outcome; the direct transfer itself still completes
+	// on the disk's timeline. An uncancellable section (a CPU burst, or
+	// a disk transfer dispatched from the queue) completes first and
+	// then reports the interruption. Interrupting a dead process is a
+	// no-op.
 	Interrupt()
 	// Dead reports whether the process body has finished.
 	Dead() bool
@@ -129,7 +138,8 @@ type taskCore struct {
 	cancel cancelKind
 	// holdID/holdSeq identify the pending wake event of the current hold
 	// (cancelTimer): a pointer-free handle, so arming a hold stores no
-	// pointer and crosses no write barrier.
+	// pointer and crosses no write barrier. A ride (cancelRide) uses
+	// holdSeq alone: its wake has a sequence number but no slot.
 	holdID  int32
 	holdSeq uint64
 	// wait is the process's gate queue entry, embedded so queueing never
@@ -200,6 +210,20 @@ func (c *taskCore) StartHold(dt float64) bool {
 	return true
 }
 
+// startRide arms a ride: a hold with no timed wake event of its own,
+// ended by the completion it rides on (Kernel.DeliverRide) or by an
+// interrupt. It reserves the sequence number the wake event would have
+// taken and reports whether the wait was entered, like StartHold.
+func (c *taskCore) startRide() bool {
+	if c.takePendingInterrupt() {
+		return false
+	}
+	c.holdSeq = c.k.seq
+	c.k.seq++
+	c.cancel = cancelRide
+	return true
+}
+
 // StartPark arms a plain cancellable wait; see Task.StartPark.
 func (c *taskCore) StartPark() bool {
 	if c.takePendingInterrupt() {
@@ -227,6 +251,12 @@ func (c *taskCore) Interrupt() {
 		case cancelTimer:
 			c.cancel = cancelNone
 			c.k.stopEvent(c.holdID, c.holdSeq)
+			c.deliverWake(true)
+		case cancelRide:
+			c.cancel = cancelNone
+			if s := c.k.sink; s != nil {
+				s.Cancel(c.k.now, c.holdSeq)
+			}
 			c.deliverWake(true)
 		case cancelGate:
 			c.cancel = cancelNone
