@@ -17,7 +17,7 @@
 package extsort
 
 import (
-	"math"
+	"math/bits"
 
 	"pmm/internal/cpu"
 	"pmm/internal/query"
@@ -275,7 +275,7 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 			f.read += f.n
 			tuples := float64(f.n * s.op.tpp)
-			compares := cpu.CostCompare * math.Ceil(math.Log2(float64(maxInt(s.h*s.op.tpp, 2))))
+			compares := cpu.CostCompare * float64(ceilLog2(s.h*s.op.tpp))
 			f.PC = 10
 			if e.CPUBurst(tuples*(cpu.CostSortCopy+compares), &ok) {
 				return sim.Park
@@ -395,9 +395,9 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.produced = 0
 			f.pending = 0 // output pages buffered toward the next write
 			f.active = fi // inputs with unread pages
-			cmp := cpu.CostCompare * math.Ceil(math.Log2(float64(maxInt(fi, 2))))
+			cmp := cpu.CostCompare * float64(ceilLog2(fi))
 			f.perPage = float64(s.op.tpp) * (cmp + cpu.CostSortCopy)
-			f.next = 0 // round-robin input cursor
+			f.next = 0 // round-robin input cursor, in [0, fanIn)
 			f.split = false
 			f.PC = 2
 		case 2: // page loop head
@@ -414,10 +414,10 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				continue
 			}
 			// Advance to the next input with pages left.
-			for f.cursors[f.next%f.fanIn] >= f.inputs[f.next%f.fanIn].pages {
-				f.next++
+			for f.cursors[f.next] >= f.inputs[f.next].pages {
+				f.advance()
 			}
-			f.i = f.next % f.fanIn
+			f.i = f.next
 			in := &f.inputs[f.i]
 			f.PC = 3
 			return in.file.t.CallRead(m, e, in.off+f.cursors[f.i], 1, 1)
@@ -429,7 +429,7 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if f.cursors[f.i] == f.inputs[f.i].pages {
 				f.active--
 			}
-			f.next++
+			f.advance()
 			f.PC = 4
 			if e.CPUBurst(f.perPage, &ok) {
 				return sim.Park
@@ -593,9 +593,18 @@ func sortRunsByPages(rs []run) {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// advance moves the round-robin input cursor to the next input.
+func (f *mergeFrame) advance() {
+	if f.next++; f.next == f.fanIn {
+		f.next = 0
 	}
-	return b
+}
+
+// ceilLog2 returns ⌈log2 max(n, 2)⌉, the comparisons charged per tuple
+// for selecting among n entries, in exact integer arithmetic.
+func ceilLog2(n int) int {
+	if n < 2 {
+		n = 2
+	}
+	return bits.Len(uint(n - 1))
 }

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"math"
 	"testing"
 
 	"pmm/internal/buffer"
@@ -232,5 +233,27 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// TestCeilLog2MatchesFloat: the integer ceilLog2 charges exactly what
+// the float expression it replaced did, over every n up to 2^20 and
+// around every power of two up to 2^30.
+func TestCeilLog2MatchesFloat(t *testing.T) {
+	want := func(n int) int {
+		return int(math.Ceil(math.Log2(float64(max(n, 2)))))
+	}
+	check := func(n int) {
+		if got := ceilLog2(n); got != want(n) {
+			t.Fatalf("ceilLog2(%d) = %d, want %d", n, got, want(n))
+		}
+	}
+	for n := 0; n <= 1<<20; n++ {
+		check(n)
+	}
+	for k := 1; k <= 30; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
 	}
 }

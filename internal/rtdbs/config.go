@@ -129,8 +129,9 @@ type Config struct {
 	// concurrently in a multi-tenant run. It is purely an execution
 	// knob: results are bit-for-bit identical for every value, so it is
 	// canonicalized to 0 and excluded from result-store keys. 0 or 1
-	// runs the partitions sequentially; values above Tenants are
-	// clamped.
+	// runs the partitions sequentially; values above Tenants or
+	// runtime.GOMAXPROCS are clamped, and a sweep running several
+	// simulations at once gives each its share of GOMAXPROCS.
 	Shards int
 }
 
@@ -228,6 +229,11 @@ func (c Config) validate() error {
 	}
 	if c.SyncInterval < 0 {
 		return fmt.Errorf("rtdbs: negative sync interval %g", c.SyncInterval)
+	}
+	// A NaN or infinite interval puts the first broker barrier at a
+	// horizon that never binds, which would silently turn the broker off.
+	if c.Tenants > 1 && (math.IsNaN(c.SyncInterval) || math.IsInf(c.SyncInterval, 0)) {
+		return fmt.Errorf("rtdbs: SyncInterval %g is not a finite time", c.SyncInterval)
 	}
 	if c.SyncStretch < 0 {
 		return fmt.Errorf("rtdbs: negative sync stretch %d", c.SyncStretch)

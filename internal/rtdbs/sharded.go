@@ -1,11 +1,13 @@
 package rtdbs
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pmm/internal/sim"
@@ -257,13 +259,13 @@ func (r *shardedRun) rebalance(msgs []sim.Message) {
 			given += share
 			order[i] = i
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ra := extra * needs[order[a]] % totalNeed
-			rb := extra * needs[order[b]] % totalNeed
+		slices.SortStableFunc(order, func(a, b int) int {
+			ra := extra * needs[a] % totalNeed
+			rb := extra * needs[b] % totalNeed
 			if ra != rb {
-				return ra > rb
+				return cmp.Compare(rb, ra)
 			}
-			return order[a] < order[b]
+			return cmp.Compare(a, b)
 		})
 		for j := 0; j < extra-given; j++ {
 			quotas[order[j]]++

@@ -3,7 +3,10 @@ package rtdbs
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"pmm/internal/sim"
 )
 
 // tenantConfig is a small multi-tenant run: `tenants` cells of the
@@ -20,8 +23,11 @@ func tenantConfig(policy PolicyConfig, tenants, shards int, duration float64) Co
 // TestShardedConformance is the tentpole guarantee: the same
 // multi-tenant configuration produces byte-identical Results — every
 // aggregate, every event, and the shard digest — for every worker
-// count, including the sequential Shards=1 schedule.
+// count, including the sequential Shards=1 schedule. GOMAXPROCS is
+// raised to 4 so that the Shards=3 run really has three participants on
+// a host with fewer CPUs, where the coordinator would clamp it.
 func TestShardedConformance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, pol := range []PolicyConfig{
 		{Kind: PolicyMinMax},
 		{Kind: PolicyPMM},
@@ -57,7 +63,10 @@ func TestShardedConformance(t *testing.T) {
 // policies, each run at shards ∈ {1, 2, 4}, asserting identical
 // digests and aggregates. Run with -race, this also exercises the
 // window-parallel path for data races (cells must share nothing).
+// GOMAXPROCS is raised to 4 so that shards=4 is not clamped to the
+// host's CPU count.
 func TestShardedStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -160,6 +169,43 @@ func TestShardedBrokerInvariants(t *testing.T) {
 			t.Fatalf("event %d out of merge order: (%g,%d) before (%g,%d)",
 				i, a.Time, a.Shard, b.Time, b.Shard)
 		}
+	}
+}
+
+// TestShardedBarrierAllocFree: once warm, the broker's work at a
+// barrier allocates nothing — a whole exchange (reports, message sort,
+// rebalance, replan) and the scarce rebalance, which sorts cells by
+// remainder. The cells receive no queries, since a cell's policy
+// allocates a grant slice whenever it has queries to replan, at
+// barriers and at every arrival and departure alike; demand reports
+// above the budget drive the scarce path instead.
+func TestShardedBarrierAllocFree(t *testing.T) {
+	cfg := tenantConfig(PolicyConfig{Kind: PolicyMinMax}, 3, 1, 600)
+	cfg.Classes[0].ArrivalRate = 0
+	r, err := newSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]sim.Partition, len(r.cells))
+	for i, c := range r.cells {
+		parts[i] = c
+	}
+	coord := sim.NewCoordinator(parts, 1, r.exchange)
+	defer coord.Close()
+	coord.Run(300)
+	now := coord.Now()
+	if n := testing.AllocsPerRun(100, func() { r.exchange(now) }); n != 0 {
+		t.Errorf("warmed exchange allocates %v times", n)
+	}
+	// Every cell asks for more than the whole budget, so the broker
+	// must share it out proportionally.
+	msgs := make([]sim.Message, len(r.cells))
+	for i, c := range r.cells {
+		reserved := c.sys.pool.Reserved()
+		msgs[i] = sim.Message{Shard: c.id, A: int64(reserved), B: int64(reserved + r.budget + i)}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.rebalance(msgs) }); n != 0 {
+		t.Errorf("scarce rebalance allocates %v times", n)
 	}
 }
 

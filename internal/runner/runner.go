@@ -76,7 +76,9 @@ type Spec struct {
 	// comparisons.
 	Reps int
 	// Workers bounds simultaneous simulations (default GOMAXPROCS).
-	// It affects wall-clock time only, never results.
+	// It affects wall-clock time only, never results. The simulations
+	// in flight share GOMAXPROCS: each one's Config.Shards is capped at
+	// GOMAXPROCS divided by min(Workers, jobs in the round).
 	Workers int
 	// Confidence is the level of the aggregate intervals (default 0.95).
 	Confidence float64
@@ -267,6 +269,12 @@ func runJobs(s Spec, results []PointResult, jobs []job) error {
 	}
 	hits := make([]bool, len(jobs))
 	s.Progress.beginRound(len(jobs))
+	// A sharded simulation advances its cells on up to Shards
+	// goroutines, which spin for each other at every broker barrier.
+	// Simulations running side by side would spin against each other
+	// for the same Ps, so each in-flight job gets its share of them.
+	// Shards never changes results or result-store keys.
+	shards := max(1, runtime.GOMAXPROCS(0)/max(1, min(s.Workers, len(jobs))))
 
 	ch := make(chan int)
 	var wg sync.WaitGroup
@@ -295,6 +303,7 @@ func runJobs(s Spec, results []PointResult, jobs []job) error {
 				// may sweep Seed itself; points that leave it alone
 				// share replicate seeds (common random numbers).
 				cfg.Seed = ReplicateSeed(cfg.Seed, j.rep)
+				cfg.Shards = min(cfg.Shards, shards)
 				var key resultstore.Key
 				if s.Cache != nil {
 					key = resultstore.KeyFor(cfg)

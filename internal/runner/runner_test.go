@@ -5,11 +5,13 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"pmm/internal/catalog"
 	"pmm/internal/query"
 	"pmm/internal/rtdbs"
+	"pmm/internal/sim"
 	"pmm/internal/stats"
 	"pmm/internal/workload"
 )
@@ -172,6 +174,42 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				serial[i].Reps[r].MissRatio != parallel[i].Reps[r].MissRatio {
 				t.Fatalf("point %s rep %d raw results differ", serial[i].Point.Key, r)
 			}
+		}
+	}
+}
+
+// TestSweepDividesPsAmongShards: simulations running side by side share
+// GOMAXPROCS, so each job's Shards is capped at GOMAXPROCS over the
+// jobs in flight, and a job that runs alone may use every P.
+func TestSweepDividesPsAmongShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ workers, reps, shards, want int }{
+		{2, 4, 8, 2}, // two jobs in flight share four Ps
+		{4, 2, 8, 2}, // only two jobs, however many workers
+		{4, 4, 3, 1},
+		{1, 3, 8, 4}, // one at a time: every P
+		{4, 1, 8, 4},
+		{2, 4, 1, 1}, // never raised
+		{2, 4, 0, 0},
+	} {
+		var mu sync.Mutex
+		seen := map[int]int{}
+		base := synthBase()
+		base.Shards = tc.shards
+		flat := synthSim(func(rtdbs.PolicyKind) float64 { return 0.3 }, 0, nil)
+		_, err := Run(Spec{Base: base, Reps: tc.reps, Workers: tc.workers,
+			simulate: func(cfg rtdbs.Config, a *sim.Arena) (*rtdbs.Results, error) {
+				mu.Lock()
+				seen[cfg.Shards]++
+				mu.Unlock()
+				return flat(cfg, a)
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[int]int{tc.want: tc.reps}; !reflect.DeepEqual(seen, want) {
+			t.Errorf("workers %d, reps %d, Shards %d: jobs ran with Shards %v, want %v",
+				tc.workers, tc.reps, tc.shards, seen, want)
 		}
 	}
 }

@@ -441,14 +441,17 @@ func (p *benchPart) Horizon() float64 { return p.k.Now() + 1 }
 // worker pool, barrier, and exchange. This is the fixed tax every
 // synchronization interval of a partitioned run pays regardless of how
 // much simulation happens inside the window, and it must stay
-// allocation-free — the pool parks its workers between windows instead
-// of spawning goroutines per window.
+// allocation-free — the pool keeps its workers between windows instead
+// of spawning goroutines per window. The partitions are empty, so the
+// workers=N rows price the handoff between participants, not any
+// parallel speed-up.
 func BenchmarkCoordinatorWindow(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{
 		{"sequential", 1},
+		{"workers=2", 2},
 		{"workers=4", 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -457,10 +460,11 @@ func BenchmarkCoordinatorWindow(b *testing.B) {
 				parts[i] = &benchPart{k: NewKernel()}
 			}
 			c := NewCoordinator(parts, bc.workers, func(now float64) {})
-			defer c.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			c.Run(float64(b.N))
+			b.StopTimer()
+			c.Close()
 		})
 	}
 }

@@ -106,11 +106,15 @@
 // clock exactly on it), then a caller-supplied exchange callback
 // performs the cross-partition interaction at the barrier.  Within a
 // window partitions are independent by construction, so the Coordinator
-// may step them on parallel worker goroutines — a persistent Pool of
-// parked workers created once and recruited per window with
-// non-blocking sends, allocation-free in steady state; determinism is
-// preserved because no kernel is ever observed mid-window and the
-// exchange runs single-threaded at the barrier.
+// may step them on parallel worker goroutines — a persistent Pool,
+// created once, of at most GOMAXPROCS participants including the
+// caller.  The caller opens a window by bumping an atomic generation
+// and waits on an atomic count of participants still inside it; each
+// waiter spins for a bounded time before it parks on a channel, so
+// back-to-back windows cost no goroutine wake.  Participants claim
+// partitions from a shared atomic counter.  A window allocates nothing;
+// determinism is preserved because no kernel is ever observed
+// mid-window and the exchange runs single-threaded at the barrier.
 //
 // Cross-partition interactions are carried by Message values ordered by
 // SortMessages under the (At, Seq, Shard) key — a total order fixed by

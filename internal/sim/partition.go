@@ -1,8 +1,12 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Partitioned (parallel) simulation: one simulated system sharded across
@@ -34,123 +38,217 @@ type Partition interface {
 	Horizon() float64
 }
 
-// Pool is a persistent set of parked worker goroutines that fan a batch
-// of partitions out for one window. It replaces spawning fresh
-// goroutines per window: workers park on an unbuffered channel between
-// windows and are recruited with non-blocking sends, so offering work
-// costs a few channel operations and zero allocations in steady state.
+// spinBudget is how long a waiting participant polls before it parks.
+// Measured on the benchmark's tenants-sharded workload (four baseline
+// cells, two participants, SyncInterval 1), running MinMax and PMM at
+// seeds 1 and 13 on a 2-vCPU x86_64 host with GOMAXPROCS=2 and go1.24;
+// each range spans two sweeps of the budgets:
 //
-// The caller always helps: Advance claims work items itself alongside
-// any recruited workers.
+//	budget     waits that parked   wall time of the four runs
+//	  25 µs        13–14%              1.07–1.23 s
+//	  50 µs         2–3%               0.96–1.02 s
+//	 100 µs       0.4–0.5%             0.94–0.96 s
+//	 200 µs        0.05%               0.92–0.97 s
+//	 400 µs        0.03%               0.89–0.99 s
+//
+// Past 100 µs a longer spin saves no wall time beyond run-to-run noise.
+//
+// Spinning pays only while every participant has a P of its own.
+// NewCoordinator clamps its workers to GOMAXPROCS, and a sweep running
+// several simulations at once caps each one's Shards at its share of
+// GOMAXPROCS. Without that cap, `rtdbsim -preset baseline -tenants 4
+// -shards 2 -reps 4` (two simulations of two participants each on the
+// same host) ran 3% longer in wall time and used 4% more CPU than with
+// the parked workers this pool replaced, in the median of 10
+// alternated pairs; with the cap, both medians were 4% lower than with
+// parked workers, within run-to-run noise (6 and 5 of 10 pairs).
+const spinBudget = 100 * time.Microsecond
+
+// spinYield is how many polls a spinning participant makes between
+// runtime.Gosched calls, which hand its P to any other runnable
+// goroutine (a GC worker, another simulation) for a moment.
+const spinYield = 32
+
+// Pool is a persistent set of worker goroutines that advance one
+// window's partitions together with the caller. A window costs no
+// goroutine wake when windows follow each other closely: the caller
+// publishes a window by bumping an atomic generation, which idle
+// workers poll, and then polls for the last participant to check out
+// of it. Each poller spins for up to spinBudget, yielding its P every
+// spinYield polls, and only then parks on a channel, so an idle pool
+// costs nothing.
+//
+// Participants claim partitions from a shared counter, so a slow
+// partition cannot serialize the others. Every worker checks in once
+// per window, even when there is nothing left for it to claim, so no
+// worker can carry a stale bound into a later window, and Advance
+// returns only when no worker references the window any more.
+//
+// Participants beyond runtime.GOMAXPROCS spin against each other
+// instead of working; NewCoordinator clamps its worker count for that
+// reason. A window allocates nothing.
 type Pool struct {
-	work  chan *Batch
-	spare int // worker goroutines beyond the calling one
+	gen  paddedInt64 // window generation; workers wait for it to move
+	next paddedInt64 // next unclaimed index into parts
+	left paddedInt64 // participants still inside the current window
+	done paddedInt64 // generation of the last window every participant has left
+
+	// Window state, written by the caller before it publishes gen and
+	// read by the workers only after they observe the new generation.
+	parts  []Partition
+	bound  float64
+	closed bool
+
+	caller  waiter
+	workers []waiter
+	exited  sync.WaitGroup
 }
 
-// Batch is one caller's reusable fan-out state. A Batch may be reused
-// across windows by the same caller, but never concurrently; Advance
-// guarantees every participant is finished with the Batch before it
-// returns, which is what makes reuse race-free.
-type Batch struct {
-	parts []Partition
-	bound float64
-	next  atomic.Int64 // next unclaimed index into parts
-	left  atomic.Int64 // participants still inside exec
-	done  chan struct{}
+// paddedInt64 is an atomic word alone on its cache line, so a
+// participant polling it is not disturbed by writes to its neighbours.
+type paddedInt64 struct {
+	atomic.Int64
+	_ [56]byte
+}
+
+// waiter is where one participant parks once its spin budget is spent.
+type waiter struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: a token sent before the receive is kept
 }
 
 // NewPool builds a pool sized for `workers`-way parallelism: the caller
-// plus workers-1 parked goroutines. workers < 1 is treated as 1 (no
+// plus workers-1 goroutines. workers < 1 is treated as 1 (no
 // goroutines; Advance runs everything on the caller).
 func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
+	p := &Pool{caller: waiter{wake: make(chan struct{}, 1)}}
+	if workers > 1 {
+		p.workers = make([]waiter, workers-1)
 	}
-	p := &Pool{work: make(chan *Batch), spare: workers - 1}
-	for i := 0; i < p.spare; i++ {
-		go p.worker()
+	for i := range p.workers {
+		p.workers[i].wake = make(chan struct{}, 1)
+		p.exited.Add(1)
+		go p.worker(&p.workers[i])
 	}
 	return p
 }
 
-// NewBatch returns a fresh reusable fan-out state for one caller.
-func (p *Pool) NewBatch() *Batch {
-	return &Batch{done: make(chan struct{}, 1)}
+// Close stops the pool's worker goroutines and returns once every one
+// of them has exited, whether it was parked or spinning. The pool must
+// be idle (no Advance in flight); after Close it must not be used again.
+func (p *Pool) Close() {
+	p.closed = true
+	p.publish()
+	p.exited.Wait()
 }
 
-// Close releases the pool's worker goroutines. The pool must be idle
-// (no Advance in flight); after Close it must not be used again.
-func (p *Pool) Close() { close(p.work) }
-
-func (p *Pool) worker() {
-	for b := range p.work {
-		b.exec()
+// publish opens the next generation and wakes every worker that has
+// parked; it returns the new generation.
+func (p *Pool) publish() int64 {
+	g := p.gen.Add(1)
+	for i := range p.workers {
+		p.workers[i].signal()
 	}
+	return g
 }
 
-// exec claims and advances work items until none remain, then checks
-// out of the batch; the last participant out signals done. Workers
-// recruited too late to claim anything still check out, so the caller's
-// receive on done proves no goroutine holds the Batch anymore.
-func (b *Batch) exec() {
+func (p *Pool) worker(w *waiter) {
+	defer p.exited.Done()
+	var g int64
 	for {
-		i := int(b.next.Add(1)) - 1
-		if i >= len(b.parts) {
-			break
+		g = w.wait(&p.gen.Int64, g)
+		if p.closed {
+			return
 		}
-		b.parts[i].Kernel().Run(b.bound)
-	}
-	if b.left.Add(-1) == 0 {
-		b.done <- struct{}{}
+		p.run(g)
 	}
 }
 
-// Advance runs every partition in parts to bound using b as the
-// fan-out state, returning when all have finished and no worker
-// references b. Partitions are claimed dynamically (work stealing), so
-// slow partitions do not serialize behind fast ones.
-func (p *Pool) Advance(b *Batch, parts []Partition, bound float64) {
-	if len(parts) == 0 {
-		return
-	}
-	if p.spare == 0 || len(parts) == 1 {
+// Advance runs every partition in parts to bound, returning when all
+// have finished and no worker references parts any more.
+func (p *Pool) Advance(parts []Partition, bound float64) {
+	if len(p.workers) == 0 || len(parts) <= 1 {
 		for _, part := range parts {
 			part.Kernel().Run(bound)
 		}
 		return
 	}
-	b.parts = parts
-	b.bound = bound
-	b.next.Store(0)
-	// Pessimistic participant count — every spare worker plus the
-	// caller — set before any worker can observe the batch; the
-	// unrecruited balance is subtracted after the offer round. The
-	// caller has not checked out yet, so the count cannot reach zero
-	// early.
-	b.left.Store(int64(p.spare) + 1)
-	recruited := 0
-	for recruited < p.spare && recruited < len(parts)-1 {
-		select {
-		case p.work <- b:
-			recruited++
-			continue
-		default:
+	p.parts, p.bound = parts, bound
+	p.next.Store(0)
+	p.left.Store(int64(len(p.workers) + 1))
+	g := p.publish()
+	p.run(g)
+	p.caller.wait(&p.done.Int64, g-1)
+	p.parts = nil
+}
+
+// run is one participant's share of window g: partitions claimed from
+// the shared counter until none remain. The last participant to check
+// out marks the window done.
+func (p *Pool) run(g int64) {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.parts) {
+			break
 		}
-		break
+		p.parts[i].Kernel().Run(p.bound)
 	}
-	if delta := int64(p.spare - recruited); delta != 0 {
-		b.left.Add(-delta)
+	if p.left.Add(-1) == 0 {
+		p.done.Store(g)
+		p.caller.signal()
 	}
-	b.exec()
-	<-b.done
-	b.parts = nil
+}
+
+// wait returns the value of word once it differs from old. It polls for
+// up to spinBudget, yielding the P every spinYield polls, and then parks
+// until signalled. Parking cannot lose a wakeup: the waiter announces
+// that it is parked before its last check of word, and a signaller
+// stores word before it looks at parked, so with sequentially
+// consistent atomics either that check sees the new value or the
+// signaller sees parked and sends a token. A token that arrives after
+// the check succeeded stays in the channel and costs the next park one
+// more check.
+func (w *waiter) wait(word *atomic.Int64, old int64) int64 {
+	var spinning time.Time
+	for i := 1; ; i++ {
+		if v := word.Load(); v != old {
+			return v
+		}
+		if i%spinYield != 0 {
+			continue
+		}
+		if spinning.IsZero() {
+			spinning = time.Now()
+		} else if time.Since(spinning) > spinBudget {
+			break
+		}
+		runtime.Gosched()
+	}
+	for {
+		w.parked.Store(true)
+		if v := word.Load(); v != old {
+			w.parked.Store(false)
+			return v
+		}
+		<-w.wake
+	}
+}
+
+// signal wakes w if it has announced that it is parked. The caller must
+// already have stored the word w waits on.
+func (w *waiter) signal() {
+	if w.parked.Load() {
+		select {
+		case w.wake <- struct{}{}:
+		default: // a token is already pending
+		}
+	}
 }
 
 // Coordinator drives a set of partitions with window barriers.
 type Coordinator struct {
 	parts []Partition
 	pool  *Pool
-	batch *Batch
 	// exchange applies cross-partition interactions at a barrier time.
 	// It runs single-threaded, after every partition has advanced to
 	// exactly that time and before any partition resumes.
@@ -160,21 +258,20 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over the given partitions.
 // workers bounds how many partitions advance concurrently within one
-// window (values < 1 mean sequential execution; values above the
-// partition count are clamped); it affects wall-clock time only, never
-// results. The workers are created once here as a persistent pool and
-// parked between windows; call Close when done with the coordinator to
-// release them. exchange may be nil for fully decoupled partitions.
+// window; it affects wall-clock time only, never results. Values < 1
+// mean sequential execution, and values above the partition count or
+// runtime.GOMAXPROCS(0) are clamped, since a participant without a P
+// of its own only spins against the others. The workers are created
+// once here as a persistent Pool; call Close when done with the
+// coordinator to stop them. exchange may be nil for fully decoupled
+// partitions.
 func NewCoordinator(parts []Partition, workers int, exchange func(now float64)) *Coordinator {
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	pool := NewPool(workers)
-	return &Coordinator{parts: parts, pool: pool, batch: pool.NewBatch(), exchange: exchange}
+	workers = min(workers, len(parts), runtime.GOMAXPROCS(0))
+	return &Coordinator{parts: parts, pool: NewPool(workers), exchange: exchange}
 }
 
-// Close releases the coordinator's worker pool. The coordinator must
-// not Run again after Close.
+// Close stops the coordinator's worker pool and waits for its
+// goroutines to exit. The coordinator must not Run again after Close.
 func (c *Coordinator) Close() { c.pool.Close() }
 
 // Now returns the global lower bound on simulation time: every partition
@@ -195,7 +292,7 @@ func (c *Coordinator) Run(until float64) {
 				bound = h
 			}
 		}
-		c.pool.Advance(c.batch, c.parts, bound)
+		c.pool.Advance(c.parts, bound)
 		c.now = bound
 		if bound >= until {
 			break
@@ -230,14 +327,13 @@ type Message struct {
 // sequential one. Ties on all three keys cannot occur between distinct
 // messages (Seq is unique per shard and time).
 func SortMessages(ms []Message) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.At != b.At {
-			return a.At < b.At
+	slices.SortStableFunc(ms, func(a, b Message) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+			return c
 		}
-		return a.Shard < b.Shard
+		return cmp.Compare(a.Shard, b.Shard)
 	})
 }

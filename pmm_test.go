@@ -92,6 +92,8 @@ func TestConfigRejectsMalformed(t *testing.T) {
 		{"NaN phase rate", "Phases", phased(nan)},
 		{"NaN Duration", "Duration", func(c *pmm.Config) { c.Duration = nan }},
 		{"infinite Duration", "Duration", func(c *pmm.Config) { c.Duration = inf }},
+		{"NaN SyncInterval", "SyncInterval", func(c *pmm.Config) { c.Tenants, c.SyncInterval = 2, nan }},
+		{"infinite SyncInterval", "SyncInterval", func(c *pmm.Config) { c.Tenants, c.SyncInterval = 2, inf }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
