@@ -47,7 +47,7 @@ func main() {
 		quick   = flag.Bool("quick", false, "shorter horizons and coarser grids")
 		horizon = flag.Float64("horizon", 0, "override simulated seconds per run (0 = defaults)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		only    = flag.String("only", "", "comma-separated report ids (e.g. fig3,table7); empty = all")
+		only    = flag.String("only", "", "comma-separated report ids (e.g. fig3,table7); runs only the experiments that produce them; empty = all")
 		out     = flag.String("out", "", "also write the reports to this file")
 		reps    = flag.Int("reps", 1, "replicates per sweep point; > 1 reports mean ± CI cells (first round size with -precision)")
 		workers = flag.Int("workers", 0, "max parallel simulations (0 = GOMAXPROCS)")
@@ -85,10 +85,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	want := map[string]bool{}
+	var ids []string
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
+			ids = append(ids, id)
 		}
 	}
 
@@ -97,6 +97,11 @@ func main() {
 		Reps: *reps, Workers: *workers,
 		Precision: *prec, MaxReps: *maxReps,
 		Tenants: *tenants, Shards: *shards, Clients: *clients,
+	}
+	// An -only list naming a report no driver can produce fails here,
+	// before any simulation runs.
+	if err := exp.Check(opts, ids); err != nil {
+		fail(err)
 	}
 	if *prog {
 		opts.Progress = pmm.NewSweepProgress(os.Stderr)
@@ -117,17 +122,9 @@ func main() {
 	}
 
 	start := time.Now()
-	reports, err := exp.All(opts)
+	selected, err := exp.Run(opts, ids)
 	if err != nil {
 		fail(err)
-	}
-
-	selected := reports[:0]
-	for _, rep := range reports {
-		if len(want) > 0 && !want[rep.ID] {
-			continue
-		}
-		selected = append(selected, rep)
 	}
 
 	var b strings.Builder

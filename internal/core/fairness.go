@@ -63,6 +63,20 @@ type FairPMM struct {
 	*PMM
 	fcfg    FairnessConfig
 	classes []classState
+
+	// Allocate's scratch, reused so a replan allocates nothing once the
+	// slices have grown to the largest present set.
+	shadows []shadow
+	ordered []*query.Query
+	grants  []int
+}
+
+// shadow is one present query under its boosted priority; idx is its
+// position in the controller's ED order.
+type shadow struct {
+	q    *query.Query
+	prio float64
+	idx  int
 }
 
 // NewFair returns a fairness-augmented PMM for numClasses classes.
@@ -132,17 +146,15 @@ func (f *FairPMM) deficit(class int) float64 {
 // controller saw. The boost advances a lagging class's deadlines by up
 // to Gain × the query's own time constraint — enough to win admission
 // ties without letting a hopeless query starve an urgent one.
-func (f *FairPMM) Allocate(present []*query.Query, total int) []int {
-	if len(present) == 0 {
-		return nil
-	}
+func (f *FairPMM) Allocate(present []*query.Query, total int, grants []int) {
 	// Build a shadow ordering with boosted priorities.
-	type shadow struct {
-		q    *query.Query
-		prio float64
-		idx  int
+	n := len(present)
+	if cap(f.shadows) < n {
+		f.shadows = make([]shadow, n, 2*n)
+		f.ordered = make([]*query.Query, n, 2*n)
+		f.grants = make([]int, n, 2*n)
 	}
-	shadows := make([]shadow, len(present))
+	shadows, ordered, inner := f.shadows[:n], f.ordered[:n], f.grants[:n]
 	for i, q := range present {
 		boost := f.deficit(q.Class)
 		if boost < 0 {
@@ -157,22 +169,14 @@ func (f *FairPMM) Allocate(present []*query.Query, total int) []int {
 			shadows[j], shadows[j-1] = shadows[j-1], shadows[j]
 		}
 	}
-	ordered := make([]*query.Query, len(shadows))
 	for i, s := range shadows {
 		ordered[i] = s.q
 	}
-	var grants []int
-	if f.Mode() == ModeMax {
-		grants = policy.Max{}.Allocate(ordered, total)
-	} else {
-		grants = policy.MinMaxN{N: f.PMM.target}.Allocate(ordered, total)
-	}
+	f.PMM.Allocate(ordered, total, inner)
 	// Map the grants back to the controller's ED order.
-	out := make([]int, len(present))
 	for i, s := range shadows {
-		out[s.idx] = grants[i]
+		grants[s.idx] = inner[i]
 	}
-	return out
 }
 
 // ClassMissRatios returns the decayed per-class miss ratios, for

@@ -58,7 +58,8 @@ func TestFairAllocateBoostsPriority(t *testing.T) {
 	// Two queries, identical needs; class 0's deadline slightly earlier.
 	q0 := &query.Query{ID: 1, Class: 0, Arrival: 0, Deadline: 100, MinMem: 40, MaxMem: 900}
 	q1 := &query.Query{ID: 2, Class: 1, Arrival: 0, Deadline: 110, MinMem: 40, MaxMem: 900}
-	grants := f.Allocate([]*query.Query{q0, q1}, 1000)
+	grants := make([]int, 2)
+	f.Allocate([]*query.Query{q0, q1}, 1000, grants)
 	// Max mode, only one fits: the boosted class-1 query should win
 	// despite its later deadline.
 	if grants[1] == 0 {
@@ -77,7 +78,8 @@ func TestFairAllocateNeutralWithoutDeficit(t *testing.T) {
 	}
 	q0 := &query.Query{ID: 1, Class: 0, Arrival: 0, Deadline: 100, MinMem: 40, MaxMem: 900}
 	q1 := &query.Query{ID: 2, Class: 1, Arrival: 0, Deadline: 110, MinMem: 40, MaxMem: 900}
-	grants := f.Allocate([]*query.Query{q0, q1}, 1000)
+	grants := make([]int, 2)
+	f.Allocate([]*query.Query{q0, q1}, 1000, grants)
 	if grants[0] == 0 {
 		t.Fatalf("balanced classes must keep plain ED order: %v", grants)
 	}
@@ -85,18 +87,14 @@ func TestFairAllocateNeutralWithoutDeficit(t *testing.T) {
 
 func TestFairAllocateEmptyAndGrantsAlign(t *testing.T) {
 	f := newFair(&fakeProbe{}, nil, 1)
-	if got := f.Allocate(nil, 100); got != nil {
-		t.Fatalf("empty present: %v", got)
-	}
+	f.Allocate(nil, 100, nil) // empty present: nothing to grant, no panic
 	qs := []*query.Query{
 		{ID: 1, Class: 0, Deadline: 10, MinMem: 10, MaxMem: 50},
 		{ID: 2, Class: 0, Deadline: 20, MinMem: 10, MaxMem: 50},
 		{ID: 3, Class: 0, Deadline: 30, MinMem: 10, MaxMem: 50},
 	}
-	grants := f.Allocate(qs, 100)
-	if len(grants) != 3 {
-		t.Fatalf("grants %v", grants)
-	}
+	grants := []int{-1, -1, -1} // Allocate must overwrite every entry
+	f.Allocate(qs, 100, grants)
 	sum := 0
 	for i, g := range grants {
 		if g != 0 && (g < qs[i].MinMem || g > qs[i].MaxMem) {

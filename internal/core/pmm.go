@@ -186,11 +186,12 @@ func (p *PMM) Trace() []TracePoint { return p.trace }
 func (p *PMM) Restarts() int { return p.restarts }
 
 // Allocate dispatches to the active strategy.
-func (p *PMM) Allocate(present []*query.Query, total int) []int {
+func (p *PMM) Allocate(present []*query.Query, total int, grants []int) {
 	if p.mode == ModeMax {
-		return policy.Max{}.Allocate(present, total)
+		policy.Max{}.Allocate(present, total, grants)
+		return
 	}
-	return policy.MinMaxN{N: p.target}.Allocate(present, total)
+	policy.MinMaxN{N: p.target}.Allocate(present, total, grants)
 }
 
 // OnTermination feeds one finished (completed or missed) query into the

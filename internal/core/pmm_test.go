@@ -212,7 +212,8 @@ func TestAllocateDispatchesByMode(t *testing.T) {
 		{ID: 2, Deadline: 20, MinMem: 40, MaxMem: 1200},
 		{ID: 3, Deadline: 30, MinMem: 40, MaxMem: 1200},
 	}
-	grants := p.Allocate(present, 2560)
+	grants := make([]int, len(present))
+	p.Allocate(present, 2560, grants)
 	// Max mode: all-or-nothing.
 	if grants[0] != 1200 || grants[1] != 1200 || grants[2] != 0 {
 		t.Fatalf("Max-mode grants %v", grants)
@@ -221,7 +222,7 @@ func TestAllocateDispatchesByMode(t *testing.T) {
 	if p.Mode() != ModeMinMax {
 		t.Fatal("precondition")
 	}
-	grants = p.Allocate(present, 2560)
+	p.Allocate(present, 2560, grants)
 	if grants[2] == 0 && p.Target() >= 3 {
 		t.Fatalf("MinMax-mode should admit query 3 at min: %v (target %d)", grants, p.Target())
 	}

@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pmm"
@@ -346,28 +347,70 @@ func deltaColumn[K any](rep *Report, label string, keys []K, delta func(K) (a, b
 		fmt.Sprintf("%s: paired per-replicate miss-ratio difference under common random numbers; an interval excluding zero resolves the gap", label))
 }
 
-// All runs every experiment and returns the reports in paper order.
-func All(o Options) ([]*Report, error) {
-	var out []*Report
-	steps := []func(Options) ([]*Report, error){
-		Baseline,
-		PMMTraceBaseline,
-		DiskContention,
-		MinMaxNSweep,
-		WorkloadChanges,
-		UtilLowSensitivity,
-		ExternalSorts,
-		Multiclass,
-		Scalability,
-		Overload,
-		MultiTenant,
+// driver is one experiment: the function that runs it and the ids of
+// the reports it returns, in order.
+type driver struct {
+	run func(Options) ([]*Report, error)
+	ids []string
+}
+
+// drivers lists every experiment in paper order.
+var drivers = []driver{
+	{run: Baseline, ids: []string{"fig3", "fig4", "fig5", "table7", "fig7"}},
+	{run: PMMTraceBaseline, ids: []string{"fig6"}},
+	{run: DiskContention, ids: []string{"fig8", "fig9", "fig10"}},
+	{run: MinMaxNSweep, ids: []string{"fig11"}},
+	{run: WorkloadChanges, ids: []string{"fig12", "fig13", "fig14", "fig15"}},
+	{run: UtilLowSensitivity, ids: []string{"sec5.4"}},
+	{run: ExternalSorts, ids: []string{"fig16"}},
+	{run: Multiclass, ids: []string{"fig17", "fig18", "ext-fairness"}},
+	{run: Scalability, ids: []string{"sec5.7"}},
+	{run: Overload, ids: []string{"overload"}},
+	{run: MultiTenant, ids: []string{"tenants"}},
+}
+
+// Check reports an error naming the first of ids that no driver
+// returns, or "tenants" when o gives MultiTenant nothing to run.
+func Check(o Options, ids []string) error {
+	for _, id := range ids {
+		if !slices.ContainsFunc(drivers, func(d driver) bool { return slices.Contains(d.ids, id) }) {
+			return fmt.Errorf("exp: unknown report id %q", id)
+		}
+		if id == "tenants" && !tenantsEnabled(o) {
+			return fmt.Errorf("exp: report %q needs Tenants ≥ 2, have %d", id, o.Tenants)
+		}
 	}
-	for _, step := range steps {
-		reports, err := step(o)
+	return nil
+}
+
+// Run runs only the drivers that return one of ids and returns just
+// the reports ids names, both in paper order; empty ids runs every
+// driver. Run does not check ids: one no driver returns selects
+// nothing, so a caller that takes ids from a user calls Check first.
+// A driver returning a report the table does not declare for it is an
+// error, since selecting that report would not run the driver.
+func Run(o Options, ids []string) ([]*Report, error) {
+	want := func(id string) bool { return len(ids) == 0 || slices.Contains(ids, id) }
+	var out []*Report
+	for _, d := range drivers {
+		if !slices.ContainsFunc(d.ids, want) {
+			continue
+		}
+		reports, err := d.run(o)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, reports...)
+		for _, rep := range reports {
+			if !slices.Contains(d.ids, rep.ID) {
+				return nil, fmt.Errorf("exp: the table does not declare report %q for the driver that returned it", rep.ID)
+			}
+			if want(rep.ID) {
+				out = append(out, rep)
+			}
+		}
 	}
 	return out, nil
 }
+
+// All runs every experiment and returns the reports in paper order.
+func All(o Options) ([]*Report, error) { return Run(o, nil) }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -195,20 +196,34 @@ func TestReplicationDefaultsMatchSingleRun(t *testing.T) {
 	}
 }
 
+// TestAllDriversTinyHorizon runs every driver once, through All, with
+// Tenants set so that every driver returns its reports. The table and
+// All must both list every report id in paper order; since Run rejects
+// a report the table does not declare for its driver, each driver then
+// returned exactly its declared ids. Run must render the reports it
+// selects exactly as All does.
 func TestAllDriversTinyHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment driver")
 	}
-	reports, err := All(Options{Seed: 2, Quick: true, Horizon: 300})
+	paper := []string{"fig3", "fig4", "fig5", "table7", "fig7", "fig6",
+		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+		"sec5.4", "fig16", "fig17", "fig18", "ext-fairness", "sec5.7",
+		"overload", "tenants"}
+	var declared []string
+	for _, d := range drivers {
+		declared = append(declared, d.ids...)
+	}
+	if !slices.Equal(declared, paper) {
+		t.Fatalf("the table declares %v, want %v", declared, paper)
+	}
+
+	o := Options{Seed: 2, Quick: true, Horizon: 300, Tenants: 2}
+	reports, err := All(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One report per figure/table: 3+4 baseline, fig6, 3 contention,
-	// fig11, 4 workload-change, §5.4, fig16, fig17/18 + ext, §5.7.
-	if len(reports) < 17 {
-		t.Fatalf("only %d reports", len(reports))
-	}
-	seen := map[string]bool{}
+	rendered := map[string]string{}
 	for _, r := range reports {
 		if r.ID == "" || r.Title == "" || len(r.Header) == 0 {
 			t.Fatalf("malformed report %+v", r)
@@ -217,18 +232,61 @@ func TestAllDriversTinyHorizon(t *testing.T) {
 		if strings.Contains(r.Title, "%%") {
 			t.Errorf("report %s title %q carries a literal %%%%", r.ID, r.Title)
 		}
-		if seen[r.ID] {
+		if _, dup := rendered[r.ID]; dup {
 			t.Fatalf("duplicate report id %s", r.ID)
 		}
-		seen[r.ID] = true
-		if out := r.Render(); len(out) == 0 {
+		rendered[r.ID] = r.Render()
+		if len(rendered[r.ID]) == 0 {
 			t.Fatalf("report %s renders empty", r.ID)
 		}
 	}
-	for _, want := range []string{"fig3", "fig6", "fig8", "fig11", "fig15",
-		"fig16", "fig17", "fig18", "ext-fairness", "sec5.4", "sec5.7", "table7"} {
-		if !seen[want] {
-			t.Fatalf("missing %s in %v", want, seen)
+	if got := reportIDs(reports); !slices.Equal(got, paper) {
+		t.Fatalf("All returned %v, want %v", got, paper)
+	}
+
+	// A selection runs only its drivers and comes back in paper order,
+	// whatever order it was asked in.
+	only := []string{"tenants", "sec5.4", "fig9", "fig6"}
+	selected, err := Run(o, only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range selected {
+		if r.Render() != rendered[r.ID] {
+			t.Errorf("selected %s renders differently from All's:\n%s\nvs\n%s", r.ID, r.Render(), rendered[r.ID])
 		}
+	}
+	if got, want := reportIDs(selected), []string{"fig6", "fig9", "sec5.4", "tenants"}; !slices.Equal(got, want) {
+		t.Fatalf("Run(%v) returned %v, want %v", only, got, want)
+	}
+}
+
+func reportIDs(reports []*Report) []string {
+	var ids []string
+	for _, r := range reports {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+// TestCheckRejectsUnproducibleIDs: an id no driver returns, or one its
+// driver cannot produce under the options, is an error naming it.
+func TestCheckRejectsUnproducibleIDs(t *testing.T) {
+	for _, c := range []struct {
+		o    Options
+		ids  []string
+		want string
+	}{
+		{Options{}, []string{"fig3", "nosuch"}, `"nosuch"`},
+		{Options{}, []string{"tenants"}, `"tenants"`},
+		{Options{Tenants: 1}, []string{"tenants"}, `"tenants"`},
+	} {
+		err := Check(c.o, c.ids)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Check(%v): err = %v, want one naming %s", c.ids, err, c.want)
+		}
+	}
+	if err := Check(Options{Tenants: 2}, []string{"tenants", "fig3", "ext-fairness"}); err != nil {
+		t.Errorf("producible ids rejected: %v", err)
 	}
 }

@@ -6,13 +6,17 @@ import (
 	"pmm"
 )
 
+// tenantsEnabled reports whether o asks for the multi-tenant report,
+// which needs at least two cells.
+func tenantsEnabled(o Options) bool { return o.Tenants > 1 }
+
 // MultiTenant is the partitioned-execution demonstration (not a paper
 // figure): Options.Tenants broker-coupled cells of the §5.1 baseline,
 // compared across allocation policies. The runs execute on the sharded
 // path with Options.Shards worker threads; results are independent of
 // the shard count, so cached points warmed at any -shards value hit.
 func MultiTenant(o Options) ([]*Report, error) {
-	if o.Tenants <= 1 {
+	if !tenantsEnabled(o) {
 		return nil, nil
 	}
 	base := pmm.MultiTenantConfig(o.Tenants)

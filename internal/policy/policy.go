@@ -13,12 +13,14 @@ import (
 )
 
 // Allocator decides each present query's memory grant. `present` is
-// sorted by ED priority, most urgent first; the result is aligned with it
-// and every grant is 0 or within [MinMem, MaxMem] of its query, summing
-// to at most total.
+// sorted by ED priority, most urgent first, and every query needs at
+// least one page (MinMem ≥ 1). Allocate overwrites grants, which the
+// caller owns and sizes to len(present), so that replanning allocates
+// nothing: grants[i] becomes 0 or within [MinMem, MaxMem] of present[i],
+// summing to at most total.
 type Allocator interface {
 	Name() string
-	Allocate(present []*query.Query, total int) []int
+	Allocate(present []*query.Query, total int, grants []int)
 }
 
 // Max admits queries at their maximum allocation or not at all, with no
@@ -30,16 +32,15 @@ type Max struct{}
 func (Max) Name() string { return "Max" }
 
 // Allocate implements the Max strategy.
-func (Max) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (Max) Allocate(present []*query.Query, total int, grants []int) {
 	free := total
 	for i, q := range present {
+		grants[i] = 0
 		if q.MaxMem <= free {
 			grants[i] = q.MaxMem
 			free -= q.MaxMem
 		}
 	}
-	return grants
 }
 
 // MinMaxN admits up to N queries (ED order, minimum demands must fit) and
@@ -60,15 +61,15 @@ func (m MinMaxN) Name() string {
 }
 
 // Allocate implements the two-pass MinMax allocation of §3.2.
-func (m MinMaxN) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (m MinMaxN) Allocate(present []*query.Query, total int, grants []int) {
 	free := total
-	admitted := admitMinimums(present, grants, &free, m.N)
-	// Second pass: top up in priority order. The last query topped may
-	// land between its minimum and maximum — the §3.2 exception.
-	for _, i := range admitted {
-		if free == 0 {
-			break
+	end := admitMinimums(present, grants, &free, m.N)
+	// Second pass: top up the admitted queries in priority order. The
+	// last query topped may land between its minimum and maximum — the
+	// §3.2 exception.
+	for i := 0; i < end && free > 0; i++ {
+		if grants[i] == 0 {
+			continue
 		}
 		up := present[i].MaxMem - grants[i]
 		if up > free {
@@ -77,7 +78,6 @@ func (m MinMaxN) Allocate(present []*query.Query, total int) []int {
 		grants[i] += up
 		free -= up
 	}
-	return grants
 }
 
 // ProportionalN admits like MinMaxN but divides memory so each admitted
@@ -100,17 +100,15 @@ func (p ProportionalN) Name() string {
 // Allocate implements proportional division: the largest fraction φ such
 // that Σ max(min_i, φ·max_i) fits in memory, found by bisection (the sum
 // is monotone in φ).
-func (p ProportionalN) Allocate(present []*query.Query, total int) []int {
-	grants := make([]int, len(present))
+func (p ProportionalN) Allocate(present []*query.Query, total int, grants []int) {
 	free := total
-	admitted := admitMinimums(present, grants, &free, p.N)
-	if len(admitted) == 0 {
-		return grants
-	}
+	end := admitMinimums(present, grants, &free, p.N)
 	need := func(phi float64) int {
 		sum := 0
-		for _, i := range admitted {
-			q := present[i]
+		for i, q := range present[:end] {
+			if grants[i] == 0 {
+				continue
+			}
 			a := int(phi * float64(q.MaxMem))
 			if a < q.MinMem {
 				a = q.MinMem
@@ -135,8 +133,10 @@ func (p ProportionalN) Allocate(present []*query.Query, total int) []int {
 			}
 		}
 	}
-	for _, i := range admitted {
-		q := present[i]
+	for i, q := range present[:end] {
+		if grants[i] == 0 {
+			continue
+		}
 		a := int(lo * float64(q.MaxMem))
 		if a < q.MinMem {
 			a = q.MinMem
@@ -146,26 +146,28 @@ func (p ProportionalN) Allocate(present []*query.Query, total int) []int {
 		}
 		grants[i] = a
 	}
-	return grants
 }
 
 // admitMinimums performs the shared first pass: walk the ED-ordered
 // queries granting minimum demands while they fit and the admission count
-// stays within limit (0 = unlimited). It returns the admitted indices in
-// priority order and decrements *free in place.
-func admitMinimums(present []*query.Query, grants []int, free *int, limit int) []int {
-	var admitted []int
+// stays within limit (0 = unlimited), setting every other grant to 0. It
+// decrements *free in place and returns end, the number of queries the
+// walk reached: the admitted queries are exactly those before end with a
+// nonzero grant, since every MinMem is at least 1.
+func admitMinimums(present []*query.Query, grants []int, free *int, limit int) (end int) {
+	clear(grants)
+	admitted := 0
 	for i, q := range present {
-		if limit > 0 && len(admitted) >= limit {
-			break
+		if limit > 0 && admitted >= limit {
+			return i
 		}
 		if q.MinMem <= *free {
 			grants[i] = q.MinMem
 			*free -= q.MinMem
-			admitted = append(admitted, i)
+			admitted++
 		}
 	}
-	return admitted
+	return len(present)
 }
 
 // SortByPriority orders queries by Earliest Deadline (ties broken by

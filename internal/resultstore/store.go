@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"pmm/internal/rtdbs"
@@ -15,23 +16,29 @@ import (
 // Layout on disk, designed to be append-friendly: adding an entry never
 // rewrites existing data.
 //
-//	<dir>/MANIFEST.json          format version + simulation epoch
-//	<dir>/index.log              one JSON line per entry, append-only
-//	<dir>/objects/<aa>/<hash>.json  one result per key, fanned out by
-//	                                the first key byte (git-style)
+//	<dir>/MANIFEST.json            format version, simulation epoch and
+//	                               object encoding
+//	<dir>/index.log                one JSON line per entry, append-only
+//	<dir>/objects/<aa>/<hash>.bin  one result per key in the binary
+//	                               encoding of codec.go, fanned out by
+//	                               the first key byte (git-style)
 //
 // Object files are written to a unique temp name and renamed into
 // place, and the index line is appended only after the rename, so a
 // concurrent or crashed writer can never leave an index entry pointing
 // at a half-written object. The manifest pins the epoch the store was
-// filled under; opening a store written under a different epoch evicts
-// every entry (they could never hit anyway — the epoch salts the key —
-// but eviction reclaims the space and keeps the store single-epoch).
+// filled under and the encoding of its objects; opening a store written
+// under a different epoch or encoding evicts every entry (a stale epoch
+// could never hit anyway — the epoch salts the key — but eviction
+// reclaims the space and keeps the store single-epoch, and objects in
+// another encoding would not decode).
 
-// manifest pins the on-disk format and the simulation epoch.
+// manifest pins the canonical format, the simulation epoch and the
+// object encoding.
 type manifest struct {
-	Format string `json:"format"`
-	Epoch  string `json:"epoch"`
+	Format  string `json:"format"`
+	Epoch   string `json:"epoch"`
+	Objects string `json:"objects"`
 }
 
 // indexEntry is one line of index.log.
@@ -54,8 +61,9 @@ type Stats struct {
 	// a broken store degrades to pass-through, never data loss).
 	Puts      int64 `json:"puts"`
 	PutErrors int64 `json:"putErrors,omitempty"`
-	// Evictions counts entries discarded since Open — stale-epoch
-	// entries dropped at Open plus corrupt objects dropped on Get.
+	// Evictions counts entries discarded since Open — objects of a
+	// stale epoch or encoding dropped at Open plus corrupt objects
+	// dropped on Get.
 	Evictions int64 `json:"evictions"`
 }
 
@@ -72,8 +80,8 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir. A store
-// written under a different simulation epoch is emptied, counting the
-// dropped entries as evictions.
+// written under a different simulation epoch or object encoding is
+// emptied, counting the dropped entries as evictions.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
@@ -81,12 +89,13 @@ func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, index: make(map[Key]indexEntry)}
 	s.stats.Path = dir
 
+	current := manifest{Format: formatVersion, Epoch: rtdbs.SimEpoch, Objects: objectEncoding}
 	manifestPath := filepath.Join(dir, "MANIFEST.json")
 	raw, err := os.ReadFile(manifestPath)
 	switch {
 	case err == nil:
 		var m manifest
-		if jsonErr := json.Unmarshal(raw, &m); jsonErr != nil || m.Format != formatVersion || m.Epoch != rtdbs.SimEpoch {
+		if jsonErr := json.Unmarshal(raw, &m); jsonErr != nil || m != current {
 			if err := s.evictAll(); err != nil {
 				return nil, err
 			}
@@ -99,7 +108,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 
-	m, err := json.Marshal(manifest{Format: formatVersion, Epoch: rtdbs.SimEpoch})
+	m, err := json.Marshal(current)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
@@ -152,25 +161,34 @@ func (s *Store) loadIndex() error {
 	return nil
 }
 
-// evictAll empties the store (stale epoch), counting evictions.
+// evictAll empties the store (stale epoch or encoding): it removes
+// every file under objects/, whatever its name — objects of any
+// encoding and temp files a crashed writer left — and the index,
+// counting one eviction per object file.
 func (s *Store) evictAll() error {
-	entries := 0
-	objs, _ := filepath.Glob(filepath.Join(s.dir, "objects", "*", "*.json"))
-	entries = len(objs)
-	for _, o := range objs {
-		os.Remove(o)
+	files, _ := filepath.Glob(filepath.Join(s.dir, "objects", "*", "*"))
+	for _, f := range files {
+		// A file that cannot be removed only wastes space: the index
+		// that named it is dropped below.
+		_ = os.Remove(f)
+		if !strings.HasPrefix(filepath.Base(f), tempPrefix) {
+			s.stats.Evictions++
+		}
 	}
 	if err := os.Remove(filepath.Join(s.dir, "index.log")); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	s.stats.Evictions += int64(entries)
 	return nil
 }
+
+// tempPrefix starts the name of an object file Put has not yet renamed
+// into place.
+const tempPrefix = "put-"
 
 // objectPath fans entries out by the first key byte.
 func (s *Store) objectPath(k Key) string {
 	hex := k.String()
-	return filepath.Join(s.dir, "objects", hex[:2], hex[2:]+".json")
+	return filepath.Join(s.dir, "objects", hex[:2], hex[2:]+".bin")
 }
 
 // Get returns the stored result for key, or (nil, false) on a miss. A
@@ -187,10 +205,9 @@ func (s *Store) Get(k Key) (*rtdbs.Results, bool) {
 	}
 	raw, err := os.ReadFile(s.objectPath(k))
 	if err == nil {
-		var res rtdbs.Results
-		if json.Unmarshal(raw, &res) == nil {
+		if res, err := decodeResults(raw); err == nil {
 			s.count(func(st *Stats) { st.Hits++ })
-			return &res, true
+			return res, true
 		}
 	}
 	// Index says present but the object is unreadable: evict.
@@ -217,15 +234,12 @@ func (s *Store) Put(k Key, res *rtdbs.Results) error {
 	if dup {
 		return nil
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return s.putFailed(err)
-	}
+	raw := encodeResults(nil, res)
 	path := s.objectPath(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return s.putFailed(err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+"*")
 	if err != nil {
 		return s.putFailed(err)
 	}

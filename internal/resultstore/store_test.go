@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,11 +20,7 @@ func tinyRun(t *testing.T, seed int64) *rtdbs.Results {
 	cfg := testConfig()
 	cfg.Seed = seed
 	cfg.Duration = 600
-	sys, err := rtdbs.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys.Run()
+	return simulate(t, cfg)
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -96,7 +93,7 @@ func TestStoreEpochEviction(t *testing.T) {
 	s.Close()
 
 	// Forge a manifest from another epoch: reopening must evict all.
-	m, _ := json.Marshal(manifest{Format: formatVersion, Epoch: "some-older-epoch"})
+	m, _ := json.Marshal(manifest{Format: formatVersion, Epoch: "some-older-epoch", Objects: objectEncoding})
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), m, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -118,33 +115,100 @@ func TestStoreCorruptObjectDegradesToMiss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
+	cfg := testConfig()
+	cfg.Duration = 600
+	k := KeyFor(cfg)
+	res := tinyRun(t, cfg.Seed)
+	full := encodeResults(nil, res)
+	for name, corrupt := range map[string][]byte{
+		"not json":  []byte("not json"),
+		"truncated": full[:len(full)/2],
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Put(k, res); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.objectPath(k), corrupt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(k); ok {
+				t.Fatal("corrupt object returned as hit")
+			}
+			if st := s.Stats(); st.Evictions != 1 || st.Misses != 1 || st.Entries != 0 {
+				t.Fatalf("corrupt object not evicted: %+v", st)
+			}
+			// The entry is gone; a fresh Put must succeed and hit again.
+			if err := s.Put(k, res); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(k); !ok {
+				t.Fatal("re-Put after eviction missed")
+			}
+		})
+	}
+}
+
+// TestStoreOpenEvictsParentFormat: a store an earlier build filled —
+// its manifest names no object encoding, its object is JSON, and a
+// crashed writer left a temp file — is emptied at Open: one eviction
+// for the one object, no file left under objects/, and the store then
+// serves a fresh Put.
+func TestStoreOpenEvictsParentFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
 	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Duration = 600
+	k := KeyFor(cfg)
+	res := tinyRun(t, cfg.Seed)
+	hex := k.String()
+	fan := filepath.Join(dir, "objects", hex[:2])
+	if err := os.MkdirAll(fan, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"MANIFEST.json": []byte(fmt.Sprintf(`{"format":%q,"epoch":%q}`, formatVersion, rtdbs.SimEpoch)),
+		"index.log":     []byte(fmt.Sprintf(`{"key":%q,"policy":%q}`+"\n", hex, res.Policy)),
+		filepath.Join("objects", hex[:2], hex[2:]+".json"): obj,
+		filepath.Join("objects", hex[:2], "put-12345"):     obj[:len(obj)/2],
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cfg := testConfig()
-	cfg.Duration = 600
-	k := KeyFor(cfg)
-	if err := s.Put(k, tinyRun(t, cfg.Seed)); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Evictions != 1 || st.Entries != 0 {
+		t.Fatalf("parent-format store not evicted: %+v", st)
 	}
-	if err := os.WriteFile(s.objectPath(k), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
+	left, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("files left under objects/: %v (%v)", left, err)
 	}
 	if _, ok := s.Get(k); ok {
-		t.Fatal("corrupt object returned as hit")
+		t.Fatal("evicted entry hit")
 	}
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("corrupt object not evicted: %+v", st)
-	}
-	// The entry is gone; a fresh Put must succeed and hit again.
-	if err := s.Put(k, tinyRun(t, cfg.Seed)); err != nil {
+	if err := s.Put(k, res); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(k); !ok {
-		t.Fatal("re-Put after eviction missed")
+	got, ok := s.Get(k)
+	if !ok || !reflect.DeepEqual(got, res) {
+		t.Fatalf("fresh Put after eviction: hit %v", ok)
 	}
 }
 

@@ -24,6 +24,7 @@ type controller struct {
 	s        *System
 	alloc    policy.Allocator
 	present  []*query.Query
+	grants   []int // replan's scratch, aligned with present
 	mplMeter *sim.TimeWeighted
 	// waiting counts present queries with no memory grant — the
 	// admission-queue occupancy the bounded-queue door tests against.
@@ -89,11 +90,12 @@ func (c *controller) Depart(q *query.Query, completed bool) {
 // first so the pool never over-commits transiently.
 func (c *controller) replan() {
 	policy.SortByPriority(c.present)
-	grants := c.alloc.Allocate(c.present, c.s.pool.Total())
-	if len(grants) != len(c.present) {
-		panic(fmt.Sprintf("rtdbs: allocator %s returned %d grants for %d queries",
-			c.alloc.Name(), len(grants), len(c.present)))
+	n := len(c.present)
+	if cap(c.grants) < n {
+		c.grants = make([]int, n, 2*n)
 	}
+	grants := c.grants[:n]
+	c.alloc.Allocate(c.present, c.s.pool.Total(), grants)
 	for i, q := range c.present {
 		if grants[i] < q.Alloc {
 			c.apply(q, grants[i])

@@ -174,29 +174,49 @@ func TestShardedBrokerInvariants(t *testing.T) {
 
 // TestShardedBarrierAllocFree: once warm, the broker's work at a
 // barrier allocates nothing — a whole exchange (reports, message sort,
-// rebalance, replan) and the scarce rebalance, which sorts cells by
-// remainder. The cells receive no queries, since a cell's policy
-// allocates a grant slice whenever it has queries to replan, at
-// barriers and at every arrival and departure alike; demand reports
-// above the budget drive the scarce path instead.
+// rebalance, and every cell's replan into its reused grants slice) over
+// idle cells and over busy ones under each policy, and the scarce
+// rebalance, which sorts cells by remainder.
 func TestShardedBarrierAllocFree(t *testing.T) {
-	cfg := tenantConfig(PolicyConfig{Kind: PolicyMinMax}, 3, 1, 600)
-	cfg.Classes[0].ArrivalRate = 0
-	r, err := newSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// warm runs a three-cell system at the given arrival rate to t=300 s
+	// and returns it with its barrier time.
+	warm := func(pol PolicyConfig, rate float64) (*shardedRun, float64) {
+		cfg := tenantConfig(pol, 3, 1, 600)
+		cfg.Classes[0].ArrivalRate = rate
+		r, err := newSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := make([]sim.Partition, len(r.cells))
+		for i, c := range r.cells {
+			parts[i] = c
+		}
+		coord := sim.NewCoordinator(parts, 1, r.exchange)
+		t.Cleanup(func() { coord.Close() })
+		coord.Run(300)
+		return r, coord.Now()
 	}
-	parts := make([]sim.Partition, len(r.cells))
-	for i, c := range r.cells {
-		parts[i] = c
-	}
-	coord := sim.NewCoordinator(parts, 1, r.exchange)
-	defer coord.Close()
-	coord.Run(300)
-	now := coord.Now()
+
+	r, now := warm(PolicyConfig{Kind: PolicyMinMax}, 0)
 	if n := testing.AllocsPerRun(100, func() { r.exchange(now) }); n != 0 {
-		t.Errorf("warmed exchange allocates %v times", n)
+		t.Errorf("warmed exchange over idle cells allocates %v times", n)
 	}
+	for _, pol := range []PolicyConfig{
+		{Kind: PolicyMinMax}, {Kind: PolicyProportional}, {Kind: PolicyMax}, {Kind: PolicyPMM}, {Kind: PolicyFairPMM},
+	} {
+		busy, at := warm(pol, 0.08)
+		present := 0
+		for _, c := range busy.cells {
+			present += len(c.sys.ctrl.present)
+		}
+		if present < 10 {
+			t.Fatalf("%v: only %d queries present; the cells are not busy", pol.Kind, present)
+		}
+		if n := testing.AllocsPerRun(100, func() { busy.exchange(at) }); n != 0 {
+			t.Errorf("%v: warmed exchange over busy cells (%d queries present) allocates %v times", pol.Kind, present, n)
+		}
+	}
+
 	// Every cell asks for more than the whole budget, so the broker
 	// must share it out proportionally.
 	msgs := make([]sim.Message, len(r.cells))
