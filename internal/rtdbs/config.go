@@ -140,19 +140,13 @@ func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 36000 // 10 simulated hours
 	}
-	if c.CPUMips <= 0 {
-		c.CPUMips = 40
-	}
+	c.CPUMips = orDefault(c.CPUMips, 40)
 	d := disk.DefaultParams()
 	if c.Disk.NumDisks <= 0 {
 		c.Disk.NumDisks = d.NumDisks
 	}
-	if c.Disk.SeekFactorMS <= 0 {
-		c.Disk.SeekFactorMS = d.SeekFactorMS
-	}
-	if c.Disk.RotationTime <= 0 {
-		c.Disk.RotationTime = d.RotationTime
-	}
+	c.Disk.SeekFactorMS = orDefault(c.Disk.SeekFactorMS, d.SeekFactorMS)
+	c.Disk.RotationTime = orDefault(c.Disk.RotationTime, d.RotationTime)
 	if c.Disk.NumCylinders <= 0 {
 		c.Disk.NumCylinders = d.NumCylinders
 	}
@@ -168,9 +162,7 @@ func (c Config) withDefaults() Config {
 	if c.MemoryPages <= 0 {
 		c.MemoryPages = 2560
 	}
-	if c.FudgeFactor <= 0 {
-		c.FudgeFactor = 1.1
-	}
+	c.FudgeFactor = orDefault(c.FudgeFactor, 1.1)
 	if c.TuplesPerPage <= 0 {
 		c.TuplesPerPage = 40
 	}
@@ -180,12 +172,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// orDefault returns v, or d when v is unset (zero or negative). -Inf
+// is kept, so that validate rejects it with NaN and +Inf.
+func orDefault(v, d float64) float64 {
+	if v <= 0 && !math.IsInf(v, -1) {
+		return d
+	}
+	return v
+}
+
 // validate rejects impossible configurations early. It runs after
 // withDefaults, so an unset Duration is already the default here. Float
 // checks are written as negated comparisons so that NaN fails them.
 func (c Config) validate() error {
 	if !(c.Duration > 0) || math.IsInf(c.Duration, 0) {
 		return fmt.Errorf("rtdbs: Duration %g is not a finite positive time", c.Duration)
+	}
+	// A non-finite model constant reaches the kernel as a NaN or
+	// infinite delay, or the policies as an impossible page count.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"CPUMips", c.CPUMips},
+		{"Disk.SeekFactorMS", c.Disk.SeekFactorMS},
+		{"Disk.RotationTime", c.Disk.RotationTime},
+		{"FudgeFactor", c.FudgeFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("rtdbs: %s %g is not a finite number", f.name, f.v)
+		}
 	}
 	if len(c.Groups) == 0 {
 		return fmt.Errorf("rtdbs: no relation groups")

@@ -343,10 +343,10 @@ func (s *System) launch(q *query.Query) {
 	// The abort event deliberately fires even for queries that finish
 	// early (interrupting a dead process is a no-op): cancelling it on
 	// completion would change the executed-event trace, and the pending
-	// entry just waits in its timing-wheel bucket until its tick drains
-	// either way. A query marks itself Finished in the same turn its
-	// process dies, so the typed event is equivalent to the old
-	// Finished-guarded closure.
+	// entry just waits in the kernel's heap until it fires either way.
+	// A query marks itself Finished in the same turn its process dies,
+	// so the typed event is equivalent to the old Finished-guarded
+	// closure.
 	s.k.AtInterrupt(q.Deadline-s.k.Now(), q.Proc)
 }
 

@@ -17,12 +17,11 @@ type Arena struct {
 
 	// Queue backings harvested from the previous kernel on Reset and
 	// re-adopted by the next NewKernelIn: the event-slot pool, the
-	// zero-delay lane, the drain batch, the far-future heap, and the
-	// typed-event registries.
+	// zero-delay lane, the timed-event heap, and the typed-event
+	// registries.
 	slotBuf []eventSlot
 	laneBuf []laneItem
-	curBuf  []heapItem
-	farBuf  []heapItem
+	heapBuf []heapItem
 	taskBuf []*taskCore
 	compBuf []Completer
 }
@@ -138,8 +137,7 @@ func (a *Arena) Reset() {
 		clear(k.slots) // drop evClosure funcs
 		a.slotBuf = k.slots[:0]
 		a.laneBuf = k.lane[:0]
-		a.curBuf = k.cur[:0]
-		a.farBuf = k.far[:0]
+		a.heapBuf = k.heap[:0]
 		clear(k.tasks)
 		a.taskBuf = k.tasks[:0]
 		clear(k.comps)

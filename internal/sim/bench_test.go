@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // Kernel micro-benchmarks: the scheduling hot path in isolation. All
-// three must run allocation-free in steady state (allocs/op = 0); the
-// before/after history lives in BENCH_kernel.json at the repo root.
+// must run allocation-free in steady state (allocs/op = 0). The frozen
+// before/after history of earlier kernels is BENCH_kernel.json at the
+// repo root.
 
 // BenchmarkKernelChurn measures the timer churn pattern the simulator
 // generates constantly: schedule two events, cancel one, execute one.
@@ -54,20 +55,18 @@ func BenchmarkTimerChurn(b *testing.B) {
 	k.Drain()
 }
 
-// BenchmarkFarFuture measures events scheduled beyond the wheel
-// horizon (delays of ~160 simulated years), cancelled before firing: a
-// distant-timeout pattern. Both the pending entries and the
-// cancellation tombstones must stay allocation-free in steady state.
+// BenchmarkFarFuture measures events scheduled ~160 simulated years
+// ahead and cancelled before firing: a distant-timeout pattern. Both
+// the pending entries and the cancellation tombstones must stay
+// allocation-free in steady state.
 func BenchmarkFarFuture(b *testing.B) {
 	k := NewKernel()
 	fn := func() {}
-	// Two long-lived anchor timers keep the front registers (and, via
-	// the first displacement, the wheel) occupied, so the measured
-	// far-future events actually exercise the far heap instead of
-	// being absorbed by the two-entry register bank.
+	// Two long-lived anchor timers keep the heap non-empty, so the
+	// measured far-future events are filed behind pending entries.
 	k.At(6e7, fn)
 	k.At(6e7, fn)
-	// Warm the far heap's backing array and its compaction path.
+	// Warm the heap's backing array and its compaction path.
 	for i := 0; i < 64; i++ {
 		t := k.At(5e9, fn)
 		t.Stop()
@@ -75,9 +74,9 @@ func BenchmarkFarFuture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := k.At(5e9, fn) // beyond the horizon → far heap
+		t := k.At(5e9, fn)
 		k.At(1, fn)
-		t.Stop() // far tombstone; periodic compaction reclaims
+		t.Stop() // tombstone; periodic compaction reclaims
 		k.Step() // fires the near event
 	}
 	b.StopTimer()
@@ -365,32 +364,24 @@ func BenchmarkGateBoundScan(b *testing.B) {
 	k.Drain()
 }
 
-// BenchmarkTickScale measures the schedule/fire cycle across event-delay
-// scales relative to the wheel tick (1/tickScale = 62.5 ms of simulated
-// time). Delays of one tick or more spread across wheel buckets; delays
-// far below a tick (the millisecond- and microsecond-scale rows) all
-// quantize to the *same* tick, so they ride the same-time drain batch
-// instead of the wheel proper. The interesting question for
-// microsecond-scale workloads is whether that collapse costs anything:
-// the recorded result (BENCH_kernel.json, PR7 epoch) is that sub-tick
-// delays are as cheap as multi-tick ones — same-tick events drain
-// through the seq-ordered batch at the same ns/op and 0 allocs/op, so
-// the 1/16 s tick needs no retuning for µs-scale workloads.
-func BenchmarkTickScale(b *testing.B) {
+// BenchmarkDelayScale measures the schedule/fire cycle across event
+// delays from a second down to a microsecond. The heap orders by exact
+// time, so no delay scale should cost more than another.
+func BenchmarkDelayScale(b *testing.B) {
 	scales := []struct {
 		name  string
 		delay float64
 	}{
-		{"delay=1s", 1},                 // 16 ticks: wheel level > 0
-		{"delay=62.5ms", 1 / tickScale}, // exactly 1 tick: finest wheel level
-		{"delay=1ms", 1e-3},             // 1/62 tick: same-tick drain batch
-		{"delay=1us", 1e-6},             // 1/62500 tick: same-tick drain batch
+		{"delay=1s", 1},
+		{"delay=62.5ms", 0.0625},
+		{"delay=1ms", 1e-3},
+		{"delay=1us", 1e-6},
 	}
 	for _, s := range scales {
 		b.Run(s.name, func(b *testing.B) {
 			k := NewKernel()
 			fn := func() {}
-			// Warm the pool and the drain batch backing.
+			// Warm the pool and the heap backing.
 			for i := 0; i < 64; i++ {
 				k.At(s.delay, fn)
 			}

@@ -7,19 +7,13 @@
 // exactly one of {kernel, some process} runs at any instant, so
 // simulations are fully deterministic for a fixed seed and schedule.
 //
-// The scheduling core is allocation-free in steady state and built
-// around a hierarchical timing wheel rather than a priority heap: event
-// records are pooled and recycled, timed events hang in intrusive
-// per-bucket lists on a multi-level wheel (power-of-two bucket widths,
-// cascading overflow levels, a far-future heap beyond the outermost
-// horizon), a two-entry front register bank serves sparse schedules
-// without touching the wheel at all, and zero-delay events — process
-// turns, wakes, gate grants — bypass everything through a
-// same-timestamp FIFO fast lane.  Scheduling and cancellation are O(1);
-// the wheel advances by draining whole buckets, sorted in one batched
-// pass.  See kernel.go and wheel.go for the ordering argument; the
-// observable contract is unchanged: events fire in exact
-// (time, sequence) order.
+// The scheduling core is allocation-free in steady state: event
+// records are pooled and recycled, timed events wait in one 4-ary
+// min-heap ordered by (time, sequence), and zero-delay events — process
+// turns, wakes, gate grants — bypass the heap through a same-timestamp
+// FIFO fast lane.  Cancellation leaves a tombstone that the heap drops
+// at its root, and the heap compacts itself once tombstones outnumber
+// live entries.  See kernel.go and queue.go.
 //
 // Events are typed, not closures.  The kernel's own events (task
 // wakes, park wakes, interrupts, completions) carry a 3-bit kind and a

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"pmm/internal/trace"
 )
@@ -14,44 +13,31 @@ import (
 //     freed slot instead of heap-allocating (the free list is threaded
 //     through the slots themselves), so after warmup At/Stop/Step never
 //     allocate.
-//   - Timed events sit in a hierarchical timing wheel (wheel.go):
-//     power-of-two bucket widths, cascading overflow levels, and a
-//     far-future heap for events beyond the outermost horizon. Buckets
-//     are intrusive doubly-linked lists threaded through the event
-//     slots, so insert and cancel are O(1) pointer splices and carry no
-//     per-bucket storage; advancing drains whole buckets at a time.
-//   - Cancellation unlinks wheel entries in place. Only entries that
-//     already left the wheel for a drain batch (or sit in the zero-delay
-//     lane or the far-future heap) cancel lazily, as stale tombstones
-//     recognized by a sequence check and dropped in batched sweeps.
+//   - Timed events wait in one 4-ary min-heap ordered by (time, seq)
+//     (queue.go). Cancellation leaves a tombstone there, dropped when
+//     it reaches the root or when the heap compacts.
 //   - Zero-delay events (process turns, wakes, gate grants — the
-//     dominant event kind) bypass the wheel entirely through a FIFO fast
+//     dominant event kind) bypass the heap entirely through a FIFO fast
 //     lane: they fire at the current time in scheduling order, so a
 //     plain queue preserves the (time, seq) contract.
 //
 // Slot occupancy is keyed by the event's globally unique sequence
-// number: a lane/batch/far entry or Timer whose seq no longer matches
-// its slot is stale (fired, cancelled, or the slot was recycled) and is
+// number: a lane or heap entry or Timer whose seq no longer matches its
+// slot is stale (fired, cancelled, or the slot was recycled) and is
 // ignored.
 
-// eventSlot is one pooled event record and, for an event parked in a
-// wheel bucket, the intrusive list node of that bucket. karg packs the
-// event kind (low 3 bits) with its payload (the rest) — a task or
-// completer index into the kernel registries — so typed slots hold no
-// pointers, scheduling them crosses no write barrier, and the slot
-// stays at 40 bytes, the same footprint the untyped kernel had; fn is
-// populated only for evClosure (the Kernel.At escape hatch). seq
-// identifies the occupying event (noEvent when the slot is free); loc
-// records where the queue entry lives (a wheel bucket index or a loc*
-// sentinel) so Stop can unlink in O(1); next doubles as the free-list
-// link of vacant slots.
+// eventSlot is one pooled event record. karg packs the event kind (low
+// 3 bits) with its payload (the rest) — a task or completer index into
+// the kernel registries — so typed slots hold no pointers and
+// scheduling them crosses no write barrier; fn is populated only for
+// evClosure (the Kernel.At escape hatch). seq identifies the occupying
+// event (noEvent when the slot is free); next links vacant slots into
+// the free list.
 type eventSlot struct {
-	fn         func()
-	at         float64
-	seq        uint64
-	next, prev int32
-	loc        int32
-	karg       int32
+	fn   func()
+	seq  uint64
+	next int32
+	karg int32
 }
 
 // Event kinds: every event the simulator schedules is one of these, and
@@ -102,9 +88,8 @@ type Completer interface {
 // upward and cannot reach it.
 const noEvent = ^uint64(0)
 
-// heapItem is one pending timed event outside the wheel: an entry of
-// the sorted drain batch or of the far-future heap. Plain data (no
-// pointers), ordered by (at, seq).
+// heapItem is one pending timed event: an entry of the kernel's heap.
+// Plain data (no pointers), ordered by (at, seq).
 type heapItem struct {
 	at  float64
 	seq uint64
@@ -132,10 +117,8 @@ type Timer struct {
 }
 
 // Stop cancels the timer. It reports whether the event had not yet
-// fired. A wheel entry is unlinked from its bucket in place; an entry
-// in the lane, the drain batch, or the far-future heap becomes a stale
-// tombstone swept in batch later (far tombstones count toward that
-// heap's periodic compaction).
+// fired. The event's lane or heap entry becomes a stale tombstone,
+// skipped when it reaches the head of its queue.
 func (t *Timer) Stop() bool {
 	k := t.k
 	if k == nil {
@@ -153,17 +136,8 @@ func (k *Kernel) stopEvent(id int32, seq uint64) bool {
 	if s.seq != seq {
 		return false // already fired or cancelled
 	}
-	// Front registers are searched by sequence (unique per event), so
-	// register entries need no location bookkeeping at all.
-	if n := k.regN; n > 0 && k.reg[0].seq == seq {
-		k.reg[0] = k.reg[1]
-		k.regN = n - 1
-	} else if n == 2 && k.reg[1].seq == seq {
-		k.regN = 1
-	} else {
-		k.cancel(id, s)
-	}
 	k.freeSlot(id, s)
+	k.tombstone()
 	if k.sink != nil {
 		k.sink.Cancel(k.now, seq)
 	}
@@ -178,32 +152,13 @@ type Kernel struct {
 	now      float64
 	seq      uint64
 	steps    uint64 // events executed
-	curTick  uint64 // wheel position, ≤ every wheel/far event's tick
 	freeHead int32  // vacant-slot list through slot.next (LIFO keeps hot slots cache-warm)
-	occ      uint32 // summary bitmap of outer levels with occupied slots
-	chead    int    // first unconsumed cur index
 	lhead    int    // first unconsumed lane index
-
-	// Front registers: the regN globally earliest timed events, kept
-	// ahead of the wheel (reg[0] ≤ reg[1] ≤ every wheel/batch/far
-	// entry). Sparse schedules — a handful of pending timers, the
-	// common case between bursts — run entirely on these two fixed
-	// slots: insert is a compare-and-shift, cancel removes by sequence
-	// match, and firing never touches a bucket. Registers hold no
-	// tombstones, so their entries are always live.
-	reg  [2]heapItem
-	regN int32
 
 	slots []eventSlot // pooled event records
 	lane  []laneItem  // FIFO of zero-delay events at the current time
-
-	// Timed events: hierarchical timing wheel, current drain batch, and
-	// far-future overflow heap. See wheel.go for the structure and the
-	// ordering argument.
-	cur   []heapItem          // current drain batch, sorted by (at, seq)
-	masks [wheelLevels]uint64 // per-level slot-occupancy bitmaps
-	bhead [wheelBuckets]int32 // per-bucket list heads (slot ids, -1 empty)
-	far   []heapItem          // 4-ary min-heap of events beyond the horizon
+	heap  []heapItem  // 4-ary min-heap of timed events by (at, seq), see queue.go
+	dead  int         // cancellations since the heap last compacted, less tombstones popped
 
 	// Typed-event registries: tasks and completers are appended once (at
 	// spawn / construction) and addressed by index from event slots, so
@@ -225,22 +180,17 @@ type Kernel struct {
 	// elided counts successful Elide calls.
 	elided uint64
 
-	arena   *Arena // frame arena the kernel allocates processes from (may be nil)
-	farDead int    // cancelled entries still inside far
-	procs   int    // live processes, for leak detection in tests
+	arena *Arena // frame arena the kernel allocates processes from (may be nil)
+	procs int    // live processes, for leak detection in tests
 }
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{freeHead: -1, until: math.Inf(1)}
-	for i := range k.bhead {
-		k.bhead[i] = -1
-	}
-	return k
+	return &Kernel{freeHead: -1, until: math.Inf(1)}
 }
 
 // NewKernelIn returns a kernel whose process and frame allocations come
-// from arena a, and which adopts the slot pool, lane, batch and registry
+// from arena a, and which adopts the slot pool, lane, heap and registry
 // backing a retained from the previous replicate — a warm start. A nil
 // arena degrades to NewKernel. The arena owns at most one kernel at a
 // time: constructing a second before Arena.Reset panics.
@@ -254,14 +204,10 @@ func NewKernelIn(a *Arena) *Kernel {
 	k := SlabFor[Kernel](a).Alloc()
 	k.freeHead = -1
 	k.until = math.Inf(1)
-	for i := range k.bhead {
-		k.bhead[i] = -1
-	}
 	k.arena = a
 	k.slots = a.slotBuf[:0]
 	k.lane = a.laneBuf[:0]
-	k.cur = a.curBuf[:0]
-	k.far = a.farBuf[:0]
+	k.heap = a.heapBuf[:0]
 	k.tasks = a.taskBuf[:0]
 	k.comps = a.compBuf[:0]
 	a.kernel = k
@@ -338,7 +284,7 @@ func (k *Kernel) Elide(at float64, events uint64) bool {
 	if k.sink != nil || at > k.until || k.skipStaleLane() {
 		return false
 	}
-	if it, ok := k.nextTimed(); ok && it.at <= at {
+	if it, ok := k.peek(); ok && it.at <= at {
 		return false
 	}
 	k.now = at
@@ -351,10 +297,8 @@ func (k *Kernel) Elide(at float64, events uint64) bool {
 func (k *Kernel) LiveProcs() int { return k.procs }
 
 // freeSlot vacates a slot and recycles it onto the intrusive free list.
-// loc is left stale: every reader is guarded by a seq check, and the
-// only path that occupies a slot without filing a location (the lane,
-// in sched) resets it explicitly. fn is cleared only when set — typed
-// events never store one, so their free crosses no write barrier.
+// fn is cleared only when set — typed events never store one, so their
+// free crosses no write barrier.
 func (k *Kernel) freeSlot(id int32, s *eventSlot) {
 	if s.fn != nil {
 		s.fn = nil
@@ -371,7 +315,7 @@ func (k *Kernel) newSlot(kind uint8, arg int32) (int32, *eventSlot, uint64) {
 	if id >= 0 {
 		k.freeHead = k.slots[id].next
 	} else {
-		k.slots = append(k.slots, eventSlot{loc: locNone})
+		k.slots = append(k.slots, eventSlot{})
 		id = int32(len(k.slots) - 1)
 	}
 	seq := k.seq
@@ -384,104 +328,40 @@ func (k *Kernel) newSlot(kind uint8, arg int32) (int32, *eventSlot, uint64) {
 
 // sched files a freshly stamped slot into the queue after delay (≥ 0)
 // simulated seconds. Events with equal times fire in scheduling order,
-// which keeps runs deterministic.
-//
-// The timed-insert logic below is mirrored verbatim in At and schedWake.
-// Keep all three copies in sync. The Go inliner cannot absorb a body
-// this size, and the extra call measurably slows both entry points
-// (go1.24, 2-vCPU x86 host, interleaved before/after test binaries):
-// routing schedWake through sched cost TypedDispatch +10.7% and
-// InlineHoldWake +5.7%, and routing At through it cost KernelChurn
-// +3% to +26% and TimerChurn +5% to +8%.
+// which keeps runs deterministic. A zero delay goes to the fast lane:
+// lane entries always fire before the clock can advance (nothing can be
+// scheduled earlier than now), so their time needs no storage and no
+// heap ordering.
 func (k *Kernel) sched(delay float64, id int32, s *eventSlot, seq uint64) {
 	if delay == 0 {
-		// Same-timestamp fast lane. Lane entries always fire before the
-		// clock can advance (nothing can be scheduled earlier than now),
-		// so their time needs no storage and no wheel ordering. loc must
-		// be reset here: the recycled slot may carry a stale bucket
-		// index, and a lane timer's Stop must not unlink anything.
-		s.loc = locNone
 		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: uint8(s.karg & 7)})
 		return
 	}
-	it := heapItem{at: k.now + delay, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			// The event beats the single front register: shift it in.
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return
-		}
-		if k.timedEmpty() {
-			// Nothing is pending behind the registers, so the new event
-			// joins them as the current maximum.
-			k.reg[n] = it
-			k.regN = n + 1
-			return
-		}
-	} else if heapLess(it, k.reg[1]) {
-		// The event beats a full register bank: place it among the
-		// registers and displace the current maximum to the wheel.
-		// Registers stay ≤ everything behind them.
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
+	k.push(heapItem{at: k.now + delay, seq: seq, id: id})
 }
 
 // At schedules fn to run after delay simulated seconds and returns a
-// cancellable Timer. A negative delay panics: the past is immutable.
+// cancellable Timer. A negative or NaN delay panics: the past is
+// immutable, and a NaN time has no place in the (time, seq) order.
 // At is the closure escape hatch for ad-hoc events; everything the
 // simulator schedules on its hot paths uses the typed kinds instead.
-// The queue insert mirrors sched (see the comment there).
 func (k *Kernel) At(delay float64, fn func()) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
+	checkDelay(delay)
 	if fn == nil {
 		panic("sim: nil event function")
 	}
 	id, s, seq := k.newSlot(evClosure, 0)
 	s.fn = fn
-	if delay == 0 {
-		s.loc = locNone
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: evClosure})
-		return Timer{k: k, id: id, seq: seq}
-	}
-	it := heapItem{at: k.now + delay, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return Timer{k: k, id: id, seq: seq}
-		}
-		if k.timedEmpty() {
-			k.reg[n] = it
-			k.regN = n + 1
-			return Timer{k: k, id: id, seq: seq}
-		}
-	} else if heapLess(it, k.reg[1]) {
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
+	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
+}
+
+// checkDelay panics unless delay is a valid wait: non-negative, and
+// not NaN. Only a bug can produce an invalid one.
+func checkDelay(delay float64) {
+	if !(delay >= 0) {
+		panic(fmt.Sprintf("sim: delay %g is negative or NaN", delay))
+	}
 }
 
 // schedTurn schedules a zero-delay turn for a task. Turns cannot be
@@ -497,50 +377,18 @@ func (k *Kernel) schedTurn(c *taskCore) {
 // schedWake arms the timed wake of a hold: deliverWake(false) on the
 // task after delay. It returns the (slot, seq) pair identifying the
 // event — the hold's cancel handle, pointer-free so storing it in the
-// task core crosses no write barrier. The queue insert mirrors sched
-// (see the comment there).
+// task core crosses no write barrier.
 func (k *Kernel) schedWake(delay float64, c *taskCore) (int32, uint64) {
 	id, s, seq := k.newSlot(evWake, c.tid)
-	if delay == 0 {
-		s.loc = locNone
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: evWake})
-		return id, seq
-	}
-	it := heapItem{at: k.now + delay, seq: seq, id: id}
-	n := k.regN
-	if n < 2 {
-		if n > 0 && heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-			k.regN = 2
-			return id, seq
-		}
-		if k.timedEmpty() {
-			k.reg[n] = it
-			k.regN = n + 1
-			return id, seq
-		}
-	} else if heapLess(it, k.reg[1]) {
-		r := k.reg[1]
-		if heapLess(it, k.reg[0]) {
-			k.reg[1] = k.reg[0]
-			k.reg[0] = it
-		} else {
-			k.reg[1] = it
-		}
-		it = r
-	}
-	k.wheelSched(it.at, it.seq, it.id, &k.slots[it.id])
+	k.sched(delay, id, s, seq)
 	return id, seq
 }
 
 // AtWake schedules t.Wake() after delay simulated seconds: a timed
 // nudge that resumes the task only if it still sits in a plain park
-// (pacing urgency timers). A negative delay panics.
+// (pacing urgency timers). A negative or NaN delay panics.
 func (k *Kernel) AtWake(delay float64, t Task) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
+	checkDelay(delay)
 	id, s, seq := k.newSlot(evParkWake, t.core().tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
@@ -548,11 +396,10 @@ func (k *Kernel) AtWake(delay float64, t Task) Timer {
 
 // AtInterrupt schedules t.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
-// so the timer may safely outlive its target. A negative delay panics.
+// so the timer may safely outlive its target. A negative or NaN delay
+// panics.
 func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
+	checkDelay(delay)
 	id, s, seq := k.newSlot(evInterrupt, t.core().tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
@@ -560,11 +407,10 @@ func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
 
 // AtComplete schedules a service completion: after delay, the completer
 // registered under comp finishes its direct or queued service. Service
-// sections are uncancellable, so no Timer is built.
+// sections are uncancellable, so no Timer is built. A negative or NaN
+// delay panics.
 func (k *Kernel) AtComplete(delay float64, comp int32, direct bool) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
+	checkDelay(delay)
 	kind := evCompleteQ
 	if direct {
 		kind = evComplete
@@ -660,116 +506,49 @@ func (k *Kernel) resetLane() {
 // Step executes the next pending event — the live event earliest in
 // (time, seq) order — advancing the clock. It reports whether an event
 // was executed. Selection and dispatch live in one function on purpose:
-// every selection path converges on the single typed-dispatch tail at
-// the fire label, and splitting either out costs a call on the hottest
-// loop in the simulator.
+// splitting either out costs a call on the hottest loop in the
+// simulator.
 func (k *Kernel) Step() bool {
-	hasLane := k.skipStaleLane()
-	var laneSeq uint64
-	if hasLane {
-		laneSeq = k.lane[k.lhead].seq
-	}
 	var id int32
-	// Timed head: the front registers hold the earliest timed events;
-	// behind them the batch is skipped of tombstones and reloaded from
-	// the wheel as it drains. Lane entries fire at the current time, so
-	// a timed event wins only when it carries an equal time and an
-	// earlier sequence (e.g. a positive delay that underflowed to the
-	// current instant).
-	for {
-		if k.regN > 0 {
-			it := k.reg[0]
-			if hasLane && !(it.at == k.now && it.seq < laneSeq) {
-				break
-			}
-			if it.at < k.now {
-				panic("sim: event scheduled in the past")
-			}
-			k.reg[0] = k.reg[1]
-			k.regN--
-			k.now = it.at
-			id = it.id
-			goto fire
-		}
-		if k.chead < len(k.cur) {
-			it := k.cur[k.chead]
-			if k.slots[it.id].seq != it.seq {
-				k.chead++
-				continue
-			}
-			if hasLane && !(it.at == k.now && it.seq < laneSeq) {
-				break // the lane entry is earlier in (time, seq) order
-			}
-			if it.at < k.now {
-				panic("sim: event scheduled in the past")
-			}
-			k.chead++
-			k.now = it.at
-			id = it.id
-			goto fire
-		}
-		// Batch exhausted. With no outer-level or far-future events
-		// pending, the earliest occupied level-0 bucket is the global
-		// minimum; when it holds a single event — the common sparse
-		// case — fire it directly, skipping the batch round-trip.
-		if k.occ == 0 && len(k.far) == 0 {
-			m := k.masks[0]
-			if m == 0 {
-				if hasLane {
-					break
-				}
-				return false
-			}
-			c := int(k.curTick & slotMask)
-			t0 := k.curTick + uint64(bits.TrailingZeros64(bits.RotateLeft64(m, -c)))
-			idx := int(t0 & slotMask)
-			bid := k.bhead[idx]
-			if s := &k.slots[bid]; s.next < 0 {
-				if hasLane && !(s.at == k.now && s.seq < laneSeq) {
-					break
-				}
-				if s.at < k.now {
-					panic("sim: event scheduled in the past")
-				}
-				k.curTick = t0
-				k.bhead[idx] = -1
-				k.masks[0] = m &^ (1 << uint(idx))
-				k.now = s.at
-				id = bid
-				goto fire
-			}
-		}
-		if !k.loadCur() {
-			if hasLane {
-				break
-			}
-			return false
-		}
-	}
-	// Lane head wins: consume it. Turn entries carry their payload in
-	// the lane item itself — no slot to read or vacate.
-	{
+	if k.skipStaleLane() {
 		l := k.lane[k.lhead]
-		k.lhead++
-		if k.lhead == len(k.lane) {
-			k.resetLane()
-		}
-		if l.kind == evTurn {
-			k.steps++
-			if k.sink != nil {
-				k.sink.Dispatch(k.now, l.seq, evTurn, l.id)
+		// Lane entries fire at the current time, so a timed event wins
+		// only when it carries an equal time and an earlier sequence
+		// (e.g. a positive delay that underflowed to the current
+		// instant).
+		if it, ok := k.peek(); ok && it.at == k.now && it.seq < l.seq {
+			k.popRoot()
+			id = it.id
+		} else {
+			// Lane head wins: consume it. Turn entries carry their
+			// payload in the lane item itself — no slot to read or
+			// vacate.
+			k.lhead++
+			if k.lhead == len(k.lane) {
+				k.resetLane()
 			}
-			c := k.tasks[l.id]
-			if p := c.inline; p != nil {
-				p.runTurn()
-			} else {
-				c.turnFn()
+			if l.kind == evTurn {
+				k.steps++
+				if k.sink != nil {
+					k.sink.Dispatch(k.now, l.seq, evTurn, l.id)
+				}
+				c := k.tasks[l.id]
+				if p := c.inline; p != nil {
+					p.runTurn()
+				} else {
+					c.turnFn()
+				}
+				return true
 			}
-			return true
+			id = l.id
 		}
-		id = l.id
+	} else if it, ok := k.peek(); ok {
+		k.popRoot()
+		k.now = it.at
+		id = it.id
+	} else {
+		return false
 	}
-fire:
 	// Typed dispatch: vacate the slot, count the step, switch on the
 	// event kind. Typed payloads devirtualize to direct method calls on
 	// registry entries; only evClosure pays an indirect call.
@@ -814,13 +593,7 @@ func (k *Kernel) Run(until float64) {
 			if k.now > until {
 				break
 			}
-		} else if k.regN > 0 {
-			// Peek inline: the front register holds the earliest timed
-			// event, so the boundary check needs no full reload.
-			if k.reg[0].at > until {
-				break
-			}
-		} else if timed, ok := k.nextTimed(); !ok || timed.at > until {
+		} else if it, ok := k.peek(); !ok || it.at > until {
 			break
 		}
 		k.Step()
@@ -835,9 +608,4 @@ func (k *Kernel) Run(until float64) {
 func (k *Kernel) Drain() {
 	for k.Step() {
 	}
-}
-
-// heapLess orders pending events by time, then scheduling sequence.
-func heapLess(a, b heapItem) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -196,13 +197,36 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayPanics: every entry point that schedules after a
+// delay panics on a negative or NaN one, since a NaN time would break
+// the queue's order.
 func TestNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
+	k := NewKernel()
+	task := k.SpawnInline("t", &warmStartFrame{})
+	srv := NewServer(k, "cpu")
+	entries := []struct {
+		name string
+		call func(d float64)
+	}{
+		{"At", func(d float64) { k.At(d, func() {}) }},
+		{"AtWake", func(d float64) { k.AtWake(d, task) }},
+		{"AtInterrupt", func(d float64) { k.AtInterrupt(d, task) }},
+		{"AtComplete", func(d float64) { k.AtComplete(d, 0, true) }},
+		{"StartHold", func(d float64) { task.StartHold(d) }},
+		{"StartUse", func(d float64) { srv.StartUse(task, 0, d) }},
+	}
+	for _, e := range entries {
+		for _, d := range []float64{-1, math.NaN()} {
+			t.Run(fmt.Sprintf("%s(%g)", e.name, d), func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(%g) did not panic", e.name, d)
+					}
+				}()
+				e.call(d)
+			})
 		}
-	}()
-	NewKernel().At(-1, func() {})
+	}
 }
 
 func TestHoldAdvancesTime(t *testing.T) {

@@ -10,9 +10,8 @@ package sim
 // are typed kernel events (AtComplete) addressing the server by its
 // registered completer id, and the in-flight request is carried in
 // Server fields rather than per-dispatch closures. Completion timers
-// are never cancelled (service is uncancellable), so they ride the
-// kernel's fastest timed path end to end — typically the front
-// registers or a level-0 wheel bucket.
+// are never cancelled (service is uncancellable), so they leave no
+// tombstones in the kernel's heap.
 //
 // A request ends on one of two completion paths. A direct serve (the
 // server was idle) ends with completeDirect, which frees the server and
@@ -84,8 +83,8 @@ func (s *Server) Use(p *Proc, prio float64, service float64) bool {
 // the wait (if service had already started it still completes on the
 // server's timeline).
 func (s *Server) StartUse(t Task, prio float64, service float64) (entered, ok bool) {
-	if service < 0 {
-		panic("sim: negative service time")
+	if !(service >= 0) {
+		panic("sim: negative or NaN service time")
 	}
 	c := t.core()
 	if !s.busy {

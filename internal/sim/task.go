@@ -41,9 +41,7 @@ const (
 	// completion.
 	cancelNone cancelKind = iota
 	// cancelTimer: the wait is a Hold; cancelling stops the hold timer,
-	// which unlinks the pending wake from its timing-wheel bucket in
-	// place — interrupt-heavy workloads (firm-deadline aborts) leave no
-	// tombstone debris in the event queue.
+	// leaving a tombstone the heap drops at its root or compacts away.
 	cancelTimer
 	// cancelGate: the wait is a Gate queue entry; cancelling unlinks
 	// the embedded wait record from its gate.
@@ -199,8 +197,8 @@ func (c *taskCore) deliverWake(interrupted bool) {
 
 // StartHold arms a cancellable timed wake; see Task.StartHold.
 func (c *taskCore) StartHold(dt float64) bool {
-	if dt < 0 {
-		panic(fmt.Sprintf("sim: negative hold %g", dt))
+	if !(dt >= 0) {
+		panic(fmt.Sprintf("sim: negative or NaN hold %g", dt))
 	}
 	if c.takePendingInterrupt() {
 		return false

@@ -94,6 +94,15 @@ func TestConfigRejectsMalformed(t *testing.T) {
 		{"infinite Duration", "Duration", func(c *pmm.Config) { c.Duration = inf }},
 		{"NaN SyncInterval", "SyncInterval", func(c *pmm.Config) { c.Tenants, c.SyncInterval = 2, nan }},
 		{"infinite SyncInterval", "SyncInterval", func(c *pmm.Config) { c.Tenants, c.SyncInterval = 2, inf }},
+		{"NaN CPUMips", "CPUMips", func(c *pmm.Config) { c.CPUMips = nan }},
+		{"infinite CPUMips", "CPUMips", func(c *pmm.Config) { c.CPUMips = inf }},
+		{"negative infinite CPUMips", "CPUMips", func(c *pmm.Config) { c.CPUMips = -inf }},
+		{"NaN FudgeFactor", "FudgeFactor", func(c *pmm.Config) { c.FudgeFactor = nan }},
+		{"infinite FudgeFactor", "FudgeFactor", func(c *pmm.Config) { c.FudgeFactor = inf }},
+		{"NaN SeekFactorMS", "SeekFactorMS", func(c *pmm.Config) { c.Disk.SeekFactorMS = nan }},
+		{"infinite SeekFactorMS", "SeekFactorMS", func(c *pmm.Config) { c.Disk.SeekFactorMS = inf }},
+		{"NaN RotationTime", "RotationTime", func(c *pmm.Config) { c.Disk.RotationTime = nan }},
+		{"infinite RotationTime", "RotationTime", func(c *pmm.Config) { c.Disk.RotationTime = inf }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
