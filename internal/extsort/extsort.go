@@ -53,7 +53,7 @@ func New(tuplesPerPage, blockSize int) *Sort {
 // replicates after the first run sort setup allocation-free.
 func (op *Sort) Start(e *query.Exec) sim.Frame {
 	s := sim.AllocFrom[sstate](e.K.Arena())
-	s.e, s.op, s.open = e, op, make(map[*mergeFile]bool)
+	s.e, s.op = e, op
 	s.fRun.s = s
 	s.fFormation.s = s
 	s.fEmit.s = s
@@ -90,8 +90,9 @@ type sstate struct {
 	e    *query.Exec
 	op   *Sort
 	runs []run
-	// open tracks every live merge file for cleanup on abort.
-	open map[*mergeFile]bool
+	// files holds every merge file the sort created, in creation order,
+	// so cleanup on abort closes the ones still referenced.
+	files []*mergeFile
 
 	// Run-formation state shared between the formation and emit frames.
 	h        int        // current replacement-selection heap size
@@ -109,7 +110,7 @@ type sstate struct {
 }
 
 func (s *sstate) closeAll() {
-	for f := range s.open {
+	for _, f := range s.files {
 		if f.refs > 0 {
 			f.t.Close()
 		}
@@ -120,16 +121,8 @@ func (s *sstate) closeAll() {
 // the sort's operand relation.
 func (s *sstate) newFile(capacity int) *mergeFile {
 	f := &mergeFile{t: s.e.CreateTemp(capacity, s.e.Q.R), refs: 1}
-	s.open[f] = true
+	s.files = append(s.files, f)
 	return f
-}
-
-// release drops a reference and forgets fully-drained files.
-func (s *sstate) release(f *mergeFile) {
-	f.unref()
-	if f.refs == 0 {
-		delete(s.open, f)
-	}
 }
 
 // heapPages returns the replacement-selection heap size for the current
@@ -223,7 +216,7 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				f.PC = 9
 				continue
 			}
-			if e.Alloc() == 0 || e.WouldPace() {
+			if !e.PaceIdle() {
 				// Suspended, or pacing at the bare minimum: flush the heap
 				// so the held pages are honest, then wait.
 				f.PC = 2
@@ -237,7 +230,10 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.heapFill = 0
 			s.closeRun()
 			f.PC = 3
-			return e.CallPace(m)
+			if !e.PaceIdle() {
+				return e.CallPace(m)
+			}
+			ok = true
 		case 3: // pacing done
 			if !ok {
 				return m.Return(false)
@@ -363,7 +359,10 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 1
-			return e.CallPace(m)
+			if !e.PaceIdle() {
+				return e.CallPace(m)
+			}
+			ok = true
 		case 1: // paced: plan one merge step
 			if !ok {
 				return m.Return(false)
@@ -459,7 +458,7 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				continue
 			}
 			for _, in := range f.inputs {
-				s.release(in.file)
+				in.file.unref()
 			}
 			if f.final {
 				s.runs = nil
@@ -493,17 +492,17 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if f.out != nil && f.out.t.Written() > 0 {
 				newRuns = append(newRuns, run{file: f.out, pages: f.out.t.Written()})
 			} else if f.out != nil {
-				s.release(f.out)
+				f.out.unref()
 			}
 			for i, in := range f.inputs {
 				if f.cursors[i] < in.pages {
 					newRuns = append(newRuns, run{file: in.file, off: in.off + f.cursors[i], pages: in.pages - f.cursors[i]})
 				} else {
-					s.release(in.file)
+					in.file.unref()
 				}
 			}
 			s.runs = append(newRuns, f.rest...)
-			if e.Alloc() == 0 {
+			if !e.WaitMemoryIdle() {
 				f.PC = 11
 				return e.CallWaitMemory(m)
 			}

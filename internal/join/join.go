@@ -21,6 +21,11 @@
 // phase of the original blocking implementation is a resumable frame
 // (program counter + locals promoted to fields), stepping through the
 // identical sequence of CPU bursts, disk transfers and memory waits.
+// The build and probe loops consult adaptation, spool flushing and late
+// expansion once per block, and most blocks need none of them: each of
+// these children has an entry test (adaptIdle, flushIdle, expandIdle)
+// that its own step 0 also runs, and the loops enter a child only when
+// the test says it has work to do.
 package join
 
 import (
@@ -160,6 +165,11 @@ func (s *jstate) contractPrep() (needFlush bool) {
 	return true
 }
 
+// flushIdle reports whether a flush without force would return true at
+// once: less than a block of spool pages has accrued in buf. The flush
+// frame's step 0 runs this test.
+func (s *jstate) flushIdle(buf float64) bool { return int(buf) < s.op.blockSize }
+
 // callFlushR enters a flush of accrued R spool pages in block units;
 // force drains the sub-block remainder too.
 func (s *jstate) callFlushR(m *sim.Machine, force bool) sim.Status {
@@ -198,7 +208,7 @@ func (f *flushFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	for {
 		switch f.PC {
 		case 0: // loop head
-			if !(int(*f.buf) >= bs || (f.force && *f.buf >= 0.5)) {
+			if s.flushIdle(*f.buf) && !(f.force && *f.buf >= 0.5) {
 				f.PC = 2
 				continue
 			}
@@ -237,6 +247,20 @@ func (f *flushFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	}
 }
 
+// fits reports whether the join's footprint fits its nonzero
+// allocation, or cannot shrink further. The epsilon absorbs float
+// accumulation error in perPartRaw: a fully expanded join at exactly
+// its maximum must not contract.
+func (s *jstate) fits() bool {
+	return s.memUse() <= float64(s.e.Alloc())+1e-6 || s.expanded == 0
+}
+
+// adaptIdle reports whether adaptation would return true at once: the
+// join's footprint fits and pacing would not hold it back (PaceIdle also
+// requires a nonzero allocation). The adapt frame's step 0 runs this
+// test.
+func (s *jstate) adaptIdle() bool { return s.fits() && s.e.PaceIdle() }
+
 // adaptFrame reconciles the join's footprint with its current
 // allocation: suspension spools everything and waits for memory;
 // over-allocation contracts partitions one at a time (late contraction).
@@ -251,21 +275,25 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	for {
 		switch f.PC {
 		case 0: // outer loop head
+			if s.adaptIdle() {
+				return m.Return(true)
+			}
 			if e.Alloc() == 0 {
 				f.PC = 2
 				continue
 			}
-			// The epsilon absorbs float accumulation error in perPartRaw: a
-			// fully expanded join at exactly its maximum must not contract.
-			if s.memUse() <= float64(e.Alloc())+1e-6 || s.expanded == 0 {
-				// Fits. Defer further work while stuck at the bare minimum
-				// with slack to spare (§3.2 deadline-driven pacing).
+			if s.fits() {
+				// Fits, but stuck at the bare minimum with slack to spare:
+				// defer further work (§3.2 deadline-driven pacing).
 				f.PC = 7
 				return e.CallPace(m)
 			}
 			if s.contractPrep() {
 				f.PC = 1
-				return s.callFlushR(m, false)
+				if !s.flushIdle(s.rBuf) {
+					return s.callFlushR(m, false)
+				}
+				ok = true
 			}
 			continue
 		case 1: // contraction's flush done
@@ -277,7 +305,10 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if s.expanded > 0 {
 				if s.contractPrep() {
 					f.PC = 3
-					return s.callFlushR(m, false)
+					if !s.flushIdle(s.rBuf) {
+						return s.callFlushR(m, false)
+					}
+					ok = true
 				}
 				continue
 			}
@@ -299,7 +330,10 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(false)
 			}
 			f.PC = 6
-			return e.CallWaitMemory(m)
+			if !e.WaitMemoryIdle() {
+				return e.CallWaitMemory(m)
+			}
+			ok = true
 		case 6: // admission wait done
 			if !ok {
 				return m.Return(false)
@@ -333,7 +367,10 @@ func (f *buildFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 2
-			return m.Call(&s.fAdapt)
+			if !s.adaptIdle() {
+				return m.Call(&s.fAdapt)
+			}
+			ok = true
 		case 2: // adapted
 			if !ok {
 				return m.Return(false)
@@ -367,7 +404,10 @@ func (f *buildFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			s.rBuf += toDisk
 			s.rSpooled += toDisk
 			f.PC = 5
-			return s.callFlushR(m, false)
+			if !s.flushIdle(s.rBuf) {
+				return s.callFlushR(m, false)
+			}
+			ok = true
 		case 5: // spool flushed
 			if !ok {
 				return m.Return(false)
@@ -401,14 +441,20 @@ func (f *probeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 2
-			return m.Call(&s.fAdapt)
+			if !s.adaptIdle() {
+				return m.Call(&s.fAdapt)
+			}
+			ok = true
 		case 2: // adapted
 			if !ok {
 				return m.Return(false)
 			}
-			s.fExpand.sRemaining = out.Pages - f.read
 			f.PC = 3
-			return m.Call(&s.fExpand)
+			if rem := out.Pages - f.read; !s.expandIdle(rem) {
+				s.fExpand.sRemaining = rem
+				return m.Call(&s.fExpand)
+			}
+			ok = true
 		case 3: // expansion considered
 			if !ok {
 				return m.Return(false)
@@ -439,7 +485,10 @@ func (f *probeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			s.sBuf += toDisk
 			s.sPending += toDisk
 			f.PC = 6
-			return s.callFlushS(m, false)
+			if !s.flushIdle(s.sBuf) {
+				return s.callFlushS(m, false)
+			}
+			ok = true
 		case 6: // spool flushed
 			if !ok {
 				return m.Return(false)
@@ -457,6 +506,33 @@ func (f *probeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 // more than the one-time read-back it avoids.
 const expandHysteresis = 1.0
 
+// sShare returns one contracted partition's share of the spooled S
+// pages; at least one partition must be contracted.
+func (s *jstate) sShare() float64 {
+	return s.sPending / float64(s.b-s.expanded)
+}
+
+// expandIdle reports whether late expansion, with sRemaining pages of S
+// still to probe, would return true at once: every partition is
+// expanded, spare memory cannot hold another hash table, or the spooling
+// an expansion saves does not outweigh its read-back. The expand
+// frame's step 0 runs this test.
+func (s *jstate) expandIdle(sRemaining int) bool {
+	if s.expanded >= s.b {
+		return true
+	}
+	spare := float64(s.e.Alloc()) - s.memUse() + 1e-6
+	// Expanding turns one output buffer into a hash table.
+	need := s.op.f*s.perPartRaw - 1
+	if spare < need {
+		return true
+	}
+	// Benefit: future S pages of this partition that would spool.
+	benefit := float64(sRemaining) / float64(s.b)
+	cost := s.perPartRaw + s.sShare()
+	return benefit <= expandHysteresis*cost
+}
+
 // expandFrame performs late expansion: while spare memory can hold
 // another partition's hash table and enough of S remains for the saved
 // spooling to clearly outweigh the read-back cost, a contracted
@@ -473,24 +549,10 @@ func (f *expandFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	for {
 		switch f.PC {
 		case 0: // loop head
-			if s.expanded >= s.b {
+			if s.expandIdle(f.sRemaining) {
 				return m.Return(true)
 			}
-			spare := float64(s.e.Alloc()) - s.memUse() + 1e-6
-			// Expanding turns one output buffer into a hash table.
-			need := s.op.f*s.perPartRaw - 1
-			if spare < need {
-				return m.Return(true)
-			}
-			// Benefit: future S pages of this partition that would spool.
-			benefit := float64(f.sRemaining) / float64(s.b)
-			contracted := float64(s.b - s.expanded)
-			sShare := s.sPending / contracted
-			cost := s.perPartRaw + sShare
-			if benefit <= expandHysteresis*cost {
-				return m.Return(true)
-			}
-			s.fReadBack.sShare = sShare
+			s.fReadBack.sShare = s.sShare()
 			f.PC = 1
 			return m.Call(&s.fReadBack)
 		case 1: // partition read back
@@ -635,7 +697,10 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 4
-			return e.CallPace(m)
+			if !e.PaceIdle() {
+				return e.CallPace(m)
+			}
+			ok = true
 		case 4: // paced
 			if !ok {
 				return m.Return(false)

@@ -14,6 +14,12 @@
 // reproduce the event sequence of the original blocking implementation
 // bit for bit.
 //
+// Operators consult the pacing and memory waits once per block, and
+// nearly always the wait has nothing to do. So each has an entry test
+// beside its Call method, PaceIdle and WaitMemoryIdle, that its step 0
+// runs first; callers enter the wait only when the test finds work (the
+// frame rule of package sim).
+//
 // Memory adaptation is pull-based: the allocator updates Query.Alloc and
 // operators observe the new value at their next step boundary (one block
 // of processing), contracting or expanding exactly as the paper's
@@ -198,6 +204,10 @@ func (e *Exec) CallWaitMemory(m *sim.Machine) sim.Status {
 	return m.Call(f)
 }
 
+// WaitMemoryIdle reports whether CallWaitMemory would return true at
+// once: the query holds memory. The wait's step 0 runs this test.
+func (e *Exec) WaitMemoryIdle() bool { return e.Q.Alloc != 0 }
+
 // waitMemFrame: for Alloc == 0 { WantMem = MinMem; park; WantMem = 0 }.
 type waitMemFrame struct {
 	sim.FrameState
@@ -209,7 +219,7 @@ func (f *waitMemFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	for {
 		switch f.PC {
 		case 0: // loop head
-			if e.Q.Alloc != 0 {
+			if e.WaitMemoryIdle() {
 				return m.Return(true)
 			}
 			e.Q.WantMem = e.Q.MinMem
@@ -228,17 +238,6 @@ func (f *waitMemFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	}
 }
 
-// WouldPace reports whether CallPace would park right now: pacing
-// is enabled, the query holds exactly its bare minimum, has a real
-// maximum above it, and its remaining time exceeds the conservative
-// two-pass estimate. Operators that must save state before parking
-// (e.g. a sort flushing its heap) consult it first.
-func (e *Exec) WouldPace() bool {
-	q := e.Q
-	return e.PaceFactor > 0 && q.Alloc == q.MinMem && q.MinMem < q.MaxMem &&
-		e.K.Now() < q.Deadline-e.PaceFactor*3*q.StandAlone
-}
-
 // CallPace enters the Earliest-Deadline pacing wait of the paper's §3.2
 // as a child frame: a query's allocation "settles on the maximum as its
 // deadline draws close", so a query holding only its bare minimum defers
@@ -255,6 +254,25 @@ func (e *Exec) CallPace(m *sim.Machine) sim.Status {
 	return m.Call(f)
 }
 
+// PaceIdle reports whether CallPace would return true at once: the
+// query holds memory and pacing does not hold it back — pacing is off,
+// the query holds more than its bare minimum (or has no maximum above
+// it), or its urgency time has come. The pacing wait's step 0 runs
+// this test. Operators that must save state before the wait (a sort
+// flushing its heap) consult it first.
+func (e *Exec) PaceIdle() bool {
+	q := e.Q
+	return q.Alloc != 0 && (e.PaceFactor <= 0 || q.Alloc > q.MinMem || q.MinMem >= q.MaxMem ||
+		e.K.Now() >= e.urgentAt())
+}
+
+// urgentAt is the time from which a query at its bare minimum stops
+// pacing: its deadline less PaceFactor times a two-pass estimate.
+func (e *Exec) urgentAt() float64 {
+	q := e.Q
+	return q.Deadline - e.PaceFactor*3*q.StandAlone
+}
+
 type paceFrame struct {
 	sim.FrameState
 	e     *Exec
@@ -266,22 +284,18 @@ func (f *paceFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	for {
 		switch f.PC {
 		case 0: // loop head
+			if e.PaceIdle() {
+				return m.Return(true)
+			}
 			q := e.Q
-			if q.Alloc == 0 {
+			if !e.WaitMemoryIdle() {
 				f.PC = 1
 				return e.CallWaitMemory(m)
-			}
-			if e.PaceFactor <= 0 || q.Alloc > q.MinMem || q.MinMem >= q.MaxMem {
-				return m.Return(true)
-			}
-			urgentAt := q.Deadline - e.PaceFactor*3*q.StandAlone
-			if e.K.Now() >= urgentAt {
-				return m.Return(true)
 			}
 			// Park until topped up (the controller wakes any process with
 			// WantMem set when its grant changes) or until urgency arrives.
 			q.WantMem = q.MinMem + 1
-			f.timer = e.K.AtWake(urgentAt-e.K.Now(), q.Proc)
+			f.timer = e.K.AtWake(e.urgentAt()-e.K.Now(), q.Proc)
 			f.PC = 2
 			if e.P.StartPark() {
 				return sim.Park

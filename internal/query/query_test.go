@@ -225,7 +225,7 @@ func TestPacingDisabledByDefault(t *testing.T) {
 	e := &Exec{Env: env, Q: q}
 	script(k, e,
 		func(m *sim.Machine, ok bool) sim.Status {
-			if e.WouldPace() {
+			if !e.PaceIdle() {
 				t.Error("pacing should be disabled with PaceFactor 0")
 			}
 			return e.CallPace(m)
@@ -254,7 +254,7 @@ func TestPacingParksUntilUrgent(t *testing.T) {
 	var resumed float64
 	script(k, e,
 		func(m *sim.Machine, ok bool) sim.Status {
-			if !e.WouldPace() {
+			if e.PaceIdle() {
 				t.Error("should pace: bare minimum and huge slack")
 			}
 			return e.CallPace(m)

@@ -39,6 +39,23 @@
 // Proc, inline frame machine) arms the same waits through the same
 // taskCore, so the two produce bit-for-bit identical event sequences.
 //
+// # Frames
+//
+// An inline process (inline.go) is a stack of frames: resumable
+// activation records with a program counter, stepped by the kernel
+// on its own goroutine. A frame's Step runs until it parks after
+// arming exactly one wait, calls a child with Machine.Call, or returns
+// a result with Machine.Return. The contract has one rule for
+// children: enter a child only when it can block; the child's step 0
+// and its callers share one entry test. A child that per-block loops
+// consult, such as an operator's memory or pacing check, exposes a
+// method reporting whether its step 0 would return true at once,
+// arming no wait and changing no state. Its step 0 calls that method
+// first, and a caller that finds it true continues with ok=true
+// instead of entering. Skipping a child then changes no event, no
+// sequence number and no step count, only the host work of a push,
+// a Step and a pop.
+//
 // # Elision
 //
 // A resource that starts service on an idle channel can often prove

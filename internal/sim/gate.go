@@ -145,10 +145,16 @@ func (g *Gate) remove(w *Waiting) {
 // enqueue links a task's embedded wait record into the queue and marks
 // its wait cancellable by unlinking. Both the blocking and the inline
 // entry points funnel here, so the two representations queue
-// identically.
+// identically. The record is reset field by field: assigning a whole
+// Waiting literal compiles to a block copy, which showed in CPU
+// profiles of overloaded runs.
 func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 	w := &c.wait
-	*w = Waiting{task: c, gate: g, seq: g.seq, Prio: prio, Val: val, Data: data}
+	w.task, w.gate = c, g
+	w.next, w.prev = nil, nil
+	w.seq = g.seq
+	w.Prio, w.Val, w.Data = prio, val, data
+	w.removed, w.inService = false, false
 	g.seq++
 	if g.tail == nil {
 		g.head = w

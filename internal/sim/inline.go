@@ -18,6 +18,9 @@ package sim
 //     m.Call(child) and receives the child's result in ok when the
 //     child returns.
 //
+// A frame enters a child only when it can block; the child's step 0 and
+// its callers share one entry test (see Frames in the package doc).
+//
 // Because the inline primitives (StartHold, StartPark, Gate.Enqueue,
 // Server.StartUse, and the resource wrappers built on them) share their
 // implementation with the blocking ones, an inline process generates a
