@@ -424,22 +424,17 @@ func (d *Disk) dispatch() {
 }
 
 // pickNext implements ED with elevator tie-breaking over the queued
-// waiters, iterating the gate's queue in place.
+// waiters. The gate keeps them in (Prio, arrival) order, so the
+// minimum-priority tie set is the run of waiters at its head, and the
+// elevator pass walks only that run.
 func (d *Disk) pickNext() *sim.Waiting {
-	// The gate's cached eligibility bound finds the minimum priority
-	// without rescanning the whole queue on every release; the elevator
-	// pass below only walks the (typically short) tie set.
 	min := d.gate.MinWaiter()
 	if min == nil {
 		return nil
 	}
-	minPrio := min.Prio
 	var ahead, behind *sim.Waiting
 	var aheadDist, behindDist int
-	for w := d.gate.First(); w != nil; w = w.Next() {
-		if w.Prio != minPrio {
-			continue
-		}
+	for w := min; w != nil && w.Prio == min.Prio; w = w.Next() {
 		req := w.Data.(*Request)
 		dist := req.cylinder - d.head
 		if !d.ascending {

@@ -118,9 +118,11 @@ func (s *sstate) closeAll() {
 }
 
 // newFile creates a tracked temp file with one reference, placed beside
-// the sort's operand relation.
+// the sort's operand relation. The record comes from the kernel's frame
+// arena, as the sort state does.
 func (s *sstate) newFile(capacity int) *mergeFile {
-	f := &mergeFile{t: s.e.CreateTemp(capacity, s.e.Q.R), refs: 1}
+	f := sim.AllocFrom[mergeFile](s.e.K.Arena())
+	f.t, f.refs = s.e.CreateTemp(capacity, s.e.Q.R), 1
 	s.files = append(s.files, f)
 	return f
 }

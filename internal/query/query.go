@@ -400,14 +400,18 @@ type TempFile struct {
 
 // CreateTemp allocates a temp file able to hold capacity pages, placed
 // on the disk holding rel (operators spool next to the relation they
-// process); a nil rel lets the disk manager choose round-robin.
+// process); a nil rel lets the disk manager choose round-robin. The
+// record comes from the kernel's frame arena when it has one, like the
+// operators' frames, so it lives until the replicate ends.
 func (e *Exec) CreateTemp(capacity int, rel *catalog.Relation) *TempFile {
 	e.Env.tempID--
 	prefer := -1
 	if rel != nil {
 		prefer = rel.Extent().Disk().ID()
 	}
-	return &TempFile{env: e.Env, id: e.Env.tempID, ext: e.Disks.AllocTemp(capacity, prefer)}
+	t := sim.AllocFrom[TempFile](e.K.Arena())
+	t.env, t.id, t.ext = e.Env, e.Env.tempID, e.Disks.AllocTemp(capacity, prefer)
+	return t
 }
 
 // Written returns the pages appended so far.

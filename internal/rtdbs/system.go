@@ -343,7 +343,8 @@ func (s *System) launch(q *query.Query) {
 	// The abort event deliberately fires even for queries that finish
 	// early (interrupting a dead process is a no-op): cancelling it on
 	// completion would change the executed-event trace, and the pending
-	// entry just waits in the kernel's heap until it fires either way.
+	// entry just waits in the kernel's deadline heap, apart from the
+	// events that run queries, until it fires either way.
 	// A query marks itself Finished in the same turn its process dies,
 	// so the typed event is equivalent to the old Finished-guarded
 	// closure.

@@ -17,11 +17,12 @@ type Arena struct {
 
 	// Queue backings harvested from the previous kernel on Reset and
 	// re-adopted by the next NewKernelIn: the event-slot pool, the
-	// zero-delay lane, the timed-event heap, and the typed-event
+	// zero-delay lane, the two timed-event heaps, and the typed-event
 	// registries.
 	slotBuf []eventSlot
 	laneBuf []laneItem
 	heapBuf []heapItem
+	dlBuf   []heapItem
 	taskBuf []*taskCore
 	compBuf []Completer
 }
@@ -138,6 +139,7 @@ func (a *Arena) Reset() {
 		a.slotBuf = k.slots[:0]
 		a.laneBuf = k.lane[:0]
 		a.heapBuf = k.heap[:0]
+		a.dlBuf = k.dl[:0]
 		clear(k.tasks)
 		a.taskBuf = k.tasks[:0]
 		clear(k.comps)

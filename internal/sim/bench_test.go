@@ -333,9 +333,11 @@ func BenchmarkGateContention(b *testing.B) {
 }
 
 // BenchmarkGateBoundScan is BenchmarkGateContention with the owner scan
-// replaced by Gate.MinWaiter — the cached-eligibility-bound pick the CPU
-// and disk dispatchers actually use. The gap to BenchmarkGateContention
-// is the saving from the bound short-circuiting the full queue walk.
+// replaced by Gate.MinWaiter, the pick the CPU and disk dispatchers
+// use. The gate keeps its queue in (Prio, arrival) order, so the pick
+// reads the head and there is no bound left to scan against; the
+// released waiter's re-queue walks past the waiters ahead of it. The
+// gap to BenchmarkGateContention is the full queue walk the order saves.
 func BenchmarkGateBoundScan(b *testing.B) {
 	const nWaiters = 8
 	k := NewKernel()
@@ -362,6 +364,45 @@ func BenchmarkGateBoundScan(b *testing.B) {
 		p.Interrupt()
 	}
 	k.Drain()
+}
+
+// nopCompleter is a Completer whose completions change nothing.
+type nopCompleter struct{}
+
+func (nopCompleter) Complete(bool) {}
+
+// BenchmarkDeadlineBacklog prices event selection under the deadline
+// backlog an overloaded run holds: 40 pending firm-deadline aborts
+// (overload-small's mean) while timed service completions churn in
+// front of them. Each iteration arms one more abort, due 40.5
+// completion gaps ahead, and one completion, one gap ahead, then fires
+// the two events due first: the oldest abort, whose target has already
+// finished, and the completion. It fails if the backlog drifts.
+func BenchmarkDeadlineBacklog(b *testing.B) {
+	const backlog, gap = 40, 1e-3
+	k := NewKernel()
+	comp := k.RegisterCompleter(nopCompleter{})
+	target := k.SpawnInline("finished", &Script{})
+	k.Drain()
+	arm := func() {
+		k.AtInterrupt((backlog+0.5)*gap, target)
+		k.AtComplete(gap, comp, false)
+	}
+	for i := 0; i < backlog; i++ { // fill the backlog
+		arm()
+		k.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arm()
+		k.Step() // the oldest abort
+		k.Step() // the completion
+	}
+	b.StopTimer()
+	if len(k.dl) != backlog || len(k.heap) != 0 {
+		b.Fatalf("%d aborts and %d other timed events pending, want %d and 0", len(k.dl), len(k.heap), backlog)
+	}
 }
 
 // BenchmarkDelayScale measures the schedule/fire cycle across event
@@ -398,8 +439,9 @@ func BenchmarkDelayScale(b *testing.B) {
 	}
 }
 
-// pickBest scans the gate the way Server.dispatch does: minimum Prio,
-// FIFO among equals (arrival-order iteration makes strict < exact).
+// pickBest scans the whole gate for the minimum Prio, first in
+// iteration order among equals: the walk a dispatcher would make if the
+// gate kept no order.
 func pickBest(g *Gate) *Waiting {
 	var best *Waiting
 	for w := g.First(); w != nil; w = w.Next() {

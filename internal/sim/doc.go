@@ -8,12 +8,22 @@
 // simulations are fully deterministic for a fixed seed and schedule.
 //
 // The scheduling core is allocation-free in steady state: event
-// records are pooled and recycled, timed events wait in one 4-ary
-// min-heap ordered by (time, sequence), and zero-delay events — process
-// turns, wakes, gate grants — bypass the heap through a same-timestamp
-// FIFO fast lane.  Cancellation leaves a tombstone that the heap drops
-// at its root, and the heap compacts itself once tombstones outnumber
-// live entries.  See kernel.go and queue.go.
+// records are pooled and recycled, timed events wait in two 4-ary
+// min-heaps ordered by (time, sequence), and zero-delay events —
+// process turns, wakes, gate grants — bypass the heaps through a
+// same-timestamp FIFO fast lane.  Firm-deadline aborts (AtInterrupt)
+// have a heap of their own, since they sit pending for a query's whole
+// life and rarely fire; every other timed event goes to the main heap,
+// and the next timed event is the smaller of the two roots.  Run and
+// Step select each event once, through the same body.  Cancellation
+// leaves a tombstone that the heaps drop at their roots, and they
+// compact themselves once tombstones outnumber live entries; while no
+// tombstone can be pending, a root read does not check the event's
+// slot.  See kernel.go and queue.go.
+//
+// The CPU and disk queues are Gates, which keep their waiters in
+// (priority, arrival) order, so the Earliest-Deadline pick is the head
+// of the queue.  See gate.go.
 //
 // Events are typed, not closures.  The kernel's own events (task
 // wakes, park wakes, interrupts, completions) carry a 3-bit kind and a

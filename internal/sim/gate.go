@@ -3,34 +3,29 @@ package sim
 // Gate is a building block for custom schedulers: processes wait at the
 // gate, and the gate's owner inspects the waiters and decides whom to
 // release, in what order, and whether the release enters an uncancellable
-// service section. CPU and disk queues, as well as the memory-admission
-// queue, are all built on Gate.
+// service section. The CPU (Server) and the disks are built on Gate.
 //
 // The wait queue is an intrusive doubly-linked list threaded through
-// Waiting records embedded in each process (Proc.wait), so queueing,
-// releasing, and interrupt removal are O(1) and allocation-free. A
-// process occupies at most one gate at a time; its record is recycled
-// wait after wait, which means a *Waiting handle is only valid while the
-// wait it was obtained for is still queued or in service — exactly the
-// window in which owners act on handles.
+// Waiting records embedded in each process (Proc.wait), kept in
+// (Prio, arrival) order: an Earliest-Deadline owner finds its pick at
+// the head. Queueing walks from the head past the waiters whose Prio is
+// not higher. Under deadline priorities the process queueing is most
+// often the most urgent one, back for its next request, so the walk is
+// short. Releasing and interrupt removal are O(1), and nothing
+// allocates. A process occupies at most one gate at a time; its record
+// is recycled wait after wait, which means a *Waiting handle is only
+// valid while the wait it was obtained for is still queued or in
+// service — exactly the window in which owners act on handles.
 //
 // A waiter interrupted while queued is removed from the gate
 // automatically and its Wait call returns false; the owner simply never
 // sees it again when iterating the queue.
 type Gate struct {
-	k          *Kernel
-	name       string
-	seq        uint64
-	head, tail *Waiting
-	n          int
-	// eligMin is a cached lower bound on the Prio of every queued
-	// waiter: lowered on enqueue, reset when the queue empties, and
-	// never touched by removals (removing a waiter can only raise the
-	// true minimum, so the bound stays valid). MinWaiter uses it to
-	// stop at the first eligible waiter instead of rescanning the full
-	// list on every release, and tightens it whenever a full scan does
-	// happen.
-	eligMin float64
+	k    *Kernel
+	name string
+	seq  uint64
+	head *Waiting
+	n    int
 }
 
 // Waiting is one process queued at a Gate.
@@ -40,7 +35,8 @@ type Waiting struct {
 	next, prev *Waiting
 	seq        uint64
 	// Prio is the caller-supplied priority (lower is more urgent under
-	// Earliest Deadline). The gate itself does not order by it; owners do.
+	// Earliest Deadline). The gate keeps its queue in (Prio, arrival)
+	// order; owners decide whom to release.
 	Prio float64
 	// Val is a float payload the owner attached via WaitVal (service
 	// times take this lane to avoid boxing them into Data).
@@ -64,8 +60,8 @@ func (w *Waiting) Task() Task { return w.task.self }
 // Seq returns the arrival sequence number, unique and increasing per gate.
 func (w *Waiting) Seq() uint64 { return w.seq }
 
-// Next returns the waiter that arrived after w, for in-place iteration
-// in arrival order: for w := g.First(); w != nil; w = w.Next() { ... }.
+// Next returns the waiter after w in (Prio, arrival) order, for
+// in-place iteration: for w := g.First(); w != nil; w = w.Next() { ... }.
 // The queue must not be mutated mid-iteration; owners scan, pick, then
 // call Release or BeginService.
 func (w *Waiting) Next() *Waiting { return w.next }
@@ -73,17 +69,18 @@ func (w *Waiting) Next() *Waiting { return w.next }
 // Len returns the number of queued (not in-service) waiters.
 func (g *Gate) Len() int { return g.n }
 
-// First returns the longest-queued waiter, or nil for an empty gate.
+// First returns the head of the queue: the waiter with the lowest Prio,
+// first arrival among ties, or nil for an empty gate.
 func (g *Gate) First() *Waiting { return g.head }
 
-// Waiters returns the queued processes in arrival order. The slice is a
-// snapshot; entries released or interrupted after the call become stale
-// and are ignored by Release/BeginService — but only until the entry's
-// process queues again, because records are recycled (see the Gate doc).
-// Owners must act on handles within the same simulation event that
-// obtained them, before any waiter can unwind and re-queue; every
-// in-tree owner (Server, Disk, admission) does so. Hot paths should
-// iterate via First/Next instead, which allocates nothing.
+// Waiters returns the queued processes in (Prio, arrival) order. The
+// slice is a snapshot; entries released or interrupted after the call
+// become stale and are ignored by Release/BeginService — but only until
+// the entry's process queues again, because records are recycled (see
+// the Gate doc). Owners must act on handles within the same simulation
+// event that obtained them, before any waiter can unwind and re-queue;
+// both in-tree owners (Server, Disk) do so. Hot paths should iterate
+// via First/Next instead, which allocates nothing.
 func (g *Gate) Waiters() []*Waiting {
 	out := make([]*Waiting, 0, g.n)
 	for w := g.head; w != nil; w = w.next {
@@ -93,29 +90,9 @@ func (g *Gate) Waiters() []*Waiting {
 }
 
 // MinWaiter returns the queued waiter with the lowest Prio, first
-// arrival among ties (the exact pick of an arrival-order scan with a
-// strict < comparison), or nil for an empty gate. The scan stops at the
-// first waiter whose Prio is at or below the cached eligibility bound:
-// such a waiter ties the true minimum, and every waiter passed over
-// arrived earlier with a strictly higher Prio, so the early exit
-// preserves the FIFO tie-break bit for bit. When the bound has gone
-// stale (all eligible waiters have left), the one full scan that
-// detects it also re-tightens the bound to the true minimum.
-func (g *Gate) MinWaiter() *Waiting {
-	var best *Waiting
-	for w := g.head; w != nil; w = w.next {
-		if w.Prio <= g.eligMin {
-			return w
-		}
-		if best == nil || w.Prio < best.Prio {
-			best = w
-		}
-	}
-	if best != nil {
-		g.eligMin = best.Prio
-	}
-	return best
-}
+// arrival among ties, or nil for an empty gate: the Earliest-Deadline
+// pick, which the queue's order puts at its head.
+func (g *Gate) MinWaiter() *Waiting { return g.head }
 
 // remove unlinks w from the queue, preserving order. Every dequeue —
 // release, service entry, interrupt removal — funnels here, so it is
@@ -134,39 +111,39 @@ func (g *Gate) remove(w *Waiting) {
 	}
 	if w.next != nil {
 		w.next.prev = w.prev
-	} else {
-		g.tail = w.prev
 	}
 	w.next, w.prev = nil, nil
 	w.removed = true
 	g.n--
 }
 
-// enqueue links a task's embedded wait record into the queue and marks
-// its wait cancellable by unlinking. Both the blocking and the inline
-// entry points funnel here, so the two representations queue
-// identically. The record is reset field by field: assigning a whole
-// Waiting literal compiles to a block copy, which showed in CPU
-// profiles of overloaded runs.
+// enqueue links a task's embedded wait record into the queue, after
+// every waiter whose Prio is not higher, and marks its wait cancellable
+// by unlinking. Both the blocking and the inline entry points funnel
+// here, so the two representations queue identically. The record is
+// reset field by field: assigning a whole Waiting literal compiles to a
+// block copy, which showed in CPU profiles of overloaded runs.
 func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 	w := &c.wait
 	w.task, w.gate = c, g
-	w.next, w.prev = nil, nil
 	w.seq = g.seq
 	w.Prio, w.Val, w.Data = prio, val, data
 	w.removed, w.inService = false, false
 	g.seq++
-	if g.tail == nil {
-		g.head = w
-		g.eligMin = prio
-	} else {
-		g.tail.next = w
-		w.prev = g.tail
-		if prio < g.eligMin {
-			g.eligMin = prio
-		}
+	var prev *Waiting
+	next := g.head
+	for next != nil && next.Prio <= prio {
+		prev, next = next, next.next
 	}
-	g.tail = w
+	w.prev, w.next = prev, next
+	if prev == nil {
+		g.head = w
+	} else {
+		prev.next = w
+	}
+	if next != nil {
+		next.prev = w
+	}
 	g.n++
 	c.cancel = cancelGate
 	if s := g.k.sink; s != nil {

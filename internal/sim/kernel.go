@@ -13,11 +13,12 @@ import (
 //     freed slot instead of heap-allocating (the free list is threaded
 //     through the slots themselves), so after warmup At/Stop/Step never
 //     allocate.
-//   - Timed events wait in one 4-ary min-heap ordered by (time, seq)
-//     (queue.go). Cancellation leaves a tombstone there, dropped when
-//     it reaches the root or when the heap compacts.
+//   - Timed events wait in two 4-ary min-heaps ordered by (time, seq)
+//     (queue.go): deadline aborts in one, everything else in the other,
+//     and the smaller root fires first. Cancellation leaves a tombstone,
+//     dropped when it reaches a root or when the heaps compact.
 //   - Zero-delay events (process turns, wakes, gate grants — the
-//     dominant event kind) bypass the heap entirely through a FIFO fast
+//     dominant event kind) bypass the heaps entirely through a FIFO fast
 //     lane: they fire at the current time in scheduling order, so a
 //     plain queue preserves the (time, seq) contract.
 //
@@ -88,8 +89,8 @@ type Completer interface {
 // upward and cannot reach it.
 const noEvent = ^uint64(0)
 
-// heapItem is one pending timed event: an entry of the kernel's heap.
-// Plain data (no pointers), ordered by (at, seq).
+// heapItem is one pending timed event: an entry of one of the kernel's
+// two heaps. Plain data (no pointers), ordered by (at, seq).
 type heapItem struct {
 	at  float64
 	seq uint64
@@ -154,11 +155,12 @@ type Kernel struct {
 	steps    uint64 // events executed
 	freeHead int32  // vacant-slot list through slot.next (LIFO keeps hot slots cache-warm)
 	lhead    int    // first unconsumed lane index
+	dead     int    // cancellations since the heaps last compacted, less tombstones popped
 
 	slots []eventSlot // pooled event records
 	lane  []laneItem  // FIFO of zero-delay events at the current time
 	heap  []heapItem  // 4-ary min-heap of timed events by (at, seq), see queue.go
-	dead  int         // cancellations since the heap last compacted, less tombstones popped
+	dl    []heapItem  // the same for deadline aborts (AtInterrupt)
 
 	// Typed-event registries: tasks and completers are appended once (at
 	// spawn / construction) and addressed by index from event slots, so
@@ -190,7 +192,7 @@ func NewKernel() *Kernel {
 }
 
 // NewKernelIn returns a kernel whose process and frame allocations come
-// from arena a, and which adopts the slot pool, lane, heap and registry
+// from arena a, and which adopts the slot pool, lane, heaps and registry
 // backing a retained from the previous replicate — a warm start. A nil
 // arena degrades to NewKernel. The arena owns at most one kernel at a
 // time: constructing a second before Arena.Reset panics.
@@ -208,6 +210,7 @@ func NewKernelIn(a *Arena) *Kernel {
 	k.slots = a.slotBuf[:0]
 	k.lane = a.laneBuf[:0]
 	k.heap = a.heapBuf[:0]
+	k.dl = a.dlBuf[:0]
 	k.tasks = a.taskBuf[:0]
 	k.comps = a.compBuf[:0]
 	a.kernel = k
@@ -284,7 +287,7 @@ func (k *Kernel) Elide(at float64, events uint64) bool {
 	if k.sink != nil || at > k.until || k.skipStaleLane() {
 		return false
 	}
-	if it, ok := k.peek(); ok && it.at <= at {
+	if it, _, ok := k.peek(); ok && it.at <= at {
 		return false
 	}
 	k.now = at
@@ -331,13 +334,13 @@ func (k *Kernel) newSlot(kind uint8, arg int32) (int32, *eventSlot, uint64) {
 // which keeps runs deterministic. A zero delay goes to the fast lane:
 // lane entries always fire before the clock can advance (nothing can be
 // scheduled earlier than now), so their time needs no storage and no
-// heap ordering.
+// heap ordering. A positive delay goes to the main heap.
 func (k *Kernel) sched(delay float64, id int32, s *eventSlot, seq uint64) {
 	if delay == 0 {
 		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: uint8(s.karg & 7)})
 		return
 	}
-	k.push(heapItem{at: k.now + delay, seq: seq, id: id})
+	k.heap = push(k.heap, heapItem{at: k.now + delay, seq: seq, id: id})
 }
 
 // At schedules fn to run after delay simulated seconds and returns a
@@ -396,12 +399,17 @@ func (k *Kernel) AtWake(delay float64, t Task) Timer {
 
 // AtInterrupt schedules t.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
-// so the timer may safely outlive its target. A negative or NaN delay
-// panics.
+// so the timer may safely outlive its target. A positive delay files
+// the event in the deadline heap, apart from the kernel's other timed
+// events. A negative or NaN delay panics.
 func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
 	checkDelay(delay)
 	id, s, seq := k.newSlot(evInterrupt, t.core().tid)
-	k.sched(delay, id, s, seq)
+	if delay == 0 {
+		k.sched(0, id, s, seq)
+	} else {
+		k.dl = push(k.dl, heapItem{at: k.now + delay, seq: seq, id: id})
+	}
 	return Timer{k: k, id: id, seq: seq}
 }
 
@@ -505,19 +513,31 @@ func (k *Kernel) resetLane() {
 
 // Step executes the next pending event — the live event earliest in
 // (time, seq) order — advancing the clock. It reports whether an event
-// was executed. Selection and dispatch live in one function on purpose:
-// splitting either out costs a call on the hottest loop in the
-// simulator.
-func (k *Kernel) Step() bool {
+// was executed.
+func (k *Kernel) Step() bool { return k.step(inf) }
+
+// inf is the until of a Step. Read from a variable, it keeps Step cheap
+// enough for the compiler to inline, where math.Inf(1) would not.
+var inf = math.Inf(1)
+
+// step executes the next pending event if its time is at most until,
+// and reports whether it did. Selection and dispatch live in one
+// function on purpose: Run and Step both loop on it, so each event is
+// selected once, and splitting either half out would cost a call on
+// the hottest loop in the simulator.
+func (k *Kernel) step(until float64) bool {
 	var id int32
 	if k.skipStaleLane() {
+		if k.now > until {
+			return false
+		}
 		l := k.lane[k.lhead]
 		// Lane entries fire at the current time, so a timed event wins
 		// only when it carries an equal time and an earlier sequence
 		// (e.g. a positive delay that underflowed to the current
 		// instant).
-		if it, ok := k.peek(); ok && it.at == k.now && it.seq < l.seq {
-			k.popRoot()
+		if it, h, ok := k.peek(); ok && it.at == k.now && it.seq < l.seq {
+			*h = popRoot(*h)
 			id = it.id
 		} else {
 			// Lane head wins: consume it. Turn entries carry their
@@ -542,8 +562,8 @@ func (k *Kernel) Step() bool {
 			}
 			id = l.id
 		}
-	} else if it, ok := k.peek(); ok {
-		k.popRoot()
+	} else if it, h, ok := k.peek(); ok && it.at <= until {
+		*h = popRoot(*h)
 		k.now = it.at
 		id = it.id
 	} else {
@@ -588,15 +608,7 @@ func (k *Kernel) Step() bool {
 // exactly at until do run.
 func (k *Kernel) Run(until float64) {
 	k.until = until
-	for {
-		if k.skipStaleLane() {
-			if k.now > until {
-				break
-			}
-		} else if it, ok := k.peek(); !ok || it.at > until {
-			break
-		}
-		k.Step()
+	for k.step(until) {
 	}
 	if k.now < until {
 		k.now = until

@@ -1,18 +1,26 @@
 package sim
 
-// Timed events wait in one 4-ary min-heap of heapItem, ordered by
-// (at, seq): the exact total order every event fires in. Sequence
-// numbers are unique, so no two entries compare equal and the pop order
-// does not depend on the heap's shape.
+// Timed events wait in two 4-ary min-heaps of heapItem, each ordered by
+// (at, seq): firm-deadline aborts (AtInterrupt) in k.dl, every other
+// timed event in k.heap. A query arms one abort at its arrival, and
+// most sit until their deadline long after the query's other events
+// have fired, so keeping them apart leaves the busy heap short. The
+// next timed event is the smaller of the two roots under heapLess,
+// which is the exact total order every event fires in. Sequence
+// numbers are unique, so no two entries compare equal and the pop
+// order does not depend on either heap's shape.
 //
 // Cancellation is lazy. Timer.Stop vacates the event's slot, which
 // leaves the heap entry a tombstone: its seq no longer matches the
-// slot's. A tombstone is dropped when it reaches the root, and the heap
-// compacts in place once tombstones outnumber live entries, so a
-// cancel-heavy schedule cannot grow it without bound.
+// slot's. A tombstone is dropped when it reaches a root, and both heaps
+// compact in place once tombstones outnumber live entries, so a
+// cancel-heavy schedule cannot grow them without bound. k.dead never
+// falls below the number of tombstones in the heaps, so while it is
+// zero a root is live without a look at its slot.
 
-// compactMin is the smallest heap that compaction rewrites: below it,
-// tombstones cost less than the pass that would drop them.
+// compactMin is the fewest entries, across both heaps, that compaction
+// rewrites: below it, tombstones cost less than the pass that would
+// drop them.
 const compactMin = 32
 
 // heapLess orders pending events by time, then scheduling sequence.
@@ -20,9 +28,9 @@ func heapLess(a, b heapItem) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push files a timed event into the heap.
-func (k *Kernel) push(it heapItem) {
-	h := append(k.heap, it)
+// push files it into heap h and returns the grown heap.
+func push(h []heapItem, it heapItem) []heapItem {
+	h = append(h, it)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -33,39 +41,45 @@ func (k *Kernel) push(it heapItem) {
 		i = parent
 	}
 	h[i] = it
-	k.heap = h
+	return h
 }
 
 // peek returns the earliest live timed event without consuming it,
-// dropping the tombstones it finds at the root. ok is false when no
-// timed event is pending.
-func (k *Kernel) peek() (heapItem, bool) {
-	for len(k.heap) > 0 {
-		it := k.heap[0]
-		if k.slots[it.id].seq == it.seq {
-			return it, true
+// and the heap whose root it is; the caller pops it with popRoot.
+// Tombstones found at a root are dropped on the way. ok is false when
+// no timed event is pending.
+func (k *Kernel) peek() (it heapItem, h *[]heapItem, ok bool) {
+	for {
+		switch {
+		case len(k.dl) > 0 && (len(k.heap) == 0 || heapLess(k.dl[0], k.heap[0])):
+			h = &k.dl
+		case len(k.heap) > 0:
+			h = &k.heap
+		default:
+			return heapItem{}, nil, false
 		}
-		k.popRoot()
-		if k.dead > 0 {
-			k.dead--
+		it = (*h)[0]
+		if k.dead == 0 || k.slots[it.id].seq == it.seq {
+			return it, h, true
 		}
+		*h = popRoot(*h)
+		k.dead--
 	}
-	return heapItem{}, false
 }
 
-// popRoot removes the heap's root.
-func (k *Kernel) popRoot() {
-	n := len(k.heap) - 1
-	last := k.heap[n]
-	k.heap = k.heap[:n]
+// popRoot removes the root of heap h and returns the shrunk heap.
+func popRoot(h []heapItem) []heapItem {
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
 	if n > 0 {
-		k.siftDown(0, last)
+		siftDown(h, 0, last)
 	}
+	return h
 }
 
-// siftDown sinks it from position i of the heap.
-func (k *Kernel) siftDown(i int, it heapItem) {
-	h := k.heap
+// siftDown sinks it from position i of heap h.
+func siftDown(h []heapItem, i int, it heapItem) {
 	n := len(h)
 	for {
 		c := 4*i + 1
@@ -88,33 +102,34 @@ func (k *Kernel) siftDown(i int, it heapItem) {
 	h[i] = it
 }
 
-// tombstone counts a cancelled event and compacts the heap once
+// tombstone counts a cancelled event and compacts both heaps once
 // tombstones outnumber live entries, so the cost is O(1) amortized per
 // cancellation. The count includes cancelled zero-delay lane entries,
 // which the lane skips on its own; they only bring a compaction
-// forward.
+// forward, and until one runs they keep the root reads checking slots.
 func (k *Kernel) tombstone() {
 	k.dead++
-	if k.dead*2 > len(k.heap) && len(k.heap) >= compactMin {
-		k.compact()
+	if n := len(k.heap) + len(k.dl); k.dead*2 > n && n >= compactMin {
+		k.heap = k.compact(k.heap)
+		k.dl = k.compact(k.dl)
+		k.dead = 0
 	}
 }
 
-// compact drops every tombstone from the heap in place and restores
-// the heap property.
-func (k *Kernel) compact() {
-	live := k.heap[:0]
-	for _, it := range k.heap {
+// compact drops every tombstone from heap h in place, restores the
+// heap property and returns the shrunk heap.
+func (k *Kernel) compact(h []heapItem) []heapItem {
+	live := h[:0]
+	for _, it := range h {
 		if k.slots[it.id].seq == it.seq {
 			live = append(live, it)
 		}
 	}
-	k.heap = live
-	k.dead = 0
 	if len(live) < 2 {
-		return
+		return live
 	}
 	for i := (len(live) - 2) / 4; i >= 0; i-- { // from the last parent up
-		k.siftDown(i, live[i])
+		siftDown(live, i, live[i])
 	}
+	return live
 }

@@ -301,12 +301,31 @@ func TestRunUntilKeepsPending(t *testing.T) {
 // An index of len(fuzzDelays) repeats a pending event's time instead.
 var fuzzDelays = [...]float64{0, 1e-6, 1.0 / 16, 1, 3600, 1 << 27}
 
-// FuzzTimedQueue drives the kernel with At, Stop, Step, Run and events
-// that schedule more events from their handlers, and checks it against
-// a reference that keeps every event in a list: each handler must be
-// the pending event earliest in (at, seq) order and run at its own
-// time, every event never stopped fires, Stop reports whether its event
-// was still pending, and Steps counts the events fired.
+// abortSink passes the sequence number of every dispatched deadline
+// abort to fired; everything else it observes is ignored.
+type abortSink func(seq uint64)
+
+func (s abortSink) Dispatch(_ float64, seq uint64, kind uint8, _ int32) {
+	if kind == evInterrupt {
+		s(seq)
+	}
+}
+func (abortSink) Cancel(float64, uint64)                    {}
+func (abortSink) WaitBegin(float64, string, int32, float64) {}
+func (abortSink) WaitEnd(float64, string, int32)            {}
+func (abortSink) TaskName(int32, string)                    {}
+
+// FuzzTimedQueue drives the kernel with At, AtInterrupt, Stop, Step,
+// Run and events that schedule more events from their handlers, and
+// checks it against a reference that keeps every event in a list: each
+// event must be the pending event earliest in (at, seq) order and fire
+// at its own time, every event never stopped fires, Stop reports
+// whether its event was still pending, and Steps counts the events
+// fired. Deadline aborts wait in a heap of their own, so the check
+// covers the pick between the two heaps' roots, compaction across both,
+// and root reads that skip the slot check while no tombstone can be
+// pending. An abort interrupts a task that has already finished, which
+// does nothing; a sink observes its dispatch.
 //
 // The input is read as (op, arg) byte pairs:
 //
@@ -315,21 +334,26 @@ var fuzzDelays = [...]float64{0, 1e-6, 1.0 / 16, 1, 3600, 1 << 27}
 //	2: Stop the timer of event arg (mod the events scheduled so far)
 //	3: Step
 //	4: Run(now + delay arg)
+//	5: AtInterrupt(delay arg)
 func FuzzTimedQueue(f *testing.F) {
 	for _, seed := range timedQueueSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		k := NewKernel()
+		target := k.SpawnInline("target", &Script{})
+		k.Drain() // the target finishes in its spawn turn
 		type event struct {
 			at    float64
 			child int  // fuzzDelays index its handler schedules at, or -1
 			done  bool // fired or stopped
 		}
-		// Only At schedules, so the index of an event is its seq.
+		// Every event takes the next sequence number, so the index of an
+		// event orders it among equal times.
 		var evs []event
 		var timers []Timer
-		now, fired := 0.0, uint64(0)
+		aborts := map[uint64]int{} // abort seq → event index
+		now, fired := k.Now(), k.Steps()
 		// next returns the pending event earliest in (at, seq) order,
 		// or -1.
 		next := func() int {
@@ -341,24 +365,32 @@ func FuzzTimedQueue(f *testing.F) {
 			}
 			return best
 		}
-		var schedule func(delay float64, child int)
-		schedule = func(delay float64, child int) {
+		var schedule func(delay float64, child int, abort bool)
+		fire := func(id int) {
+			if want := next(); want != id {
+				t.Fatalf("event %d (at %g) fired, want event %d", id, evs[id].at, want)
+			}
+			if k.Now() != evs[id].at {
+				t.Fatalf("event %d fired at %g, want %g", id, k.Now(), evs[id].at)
+			}
+			evs[id].done = true
+			now = evs[id].at
+			fired++
+			if c := evs[id].child; c >= 0 {
+				schedule(fuzzDelays[c], -1, false)
+			}
+		}
+		k.SetSink(abortSink(func(seq uint64) { fire(aborts[seq]) }))
+		schedule = func(delay float64, child int, abort bool) {
 			id := len(evs)
 			evs = append(evs, event{at: now + delay, child: child})
-			timers = append(timers, k.At(delay, func() {
-				if want := next(); want != id {
-					t.Fatalf("event %d (at %g) fired, want event %d", id, evs[id].at, want)
-				}
-				if k.Now() != evs[id].at {
-					t.Fatalf("event %d fired at %g, want %g", id, k.Now(), evs[id].at)
-				}
-				evs[id].done = true
-				now = evs[id].at
-				fired++
-				if c := evs[id].child; c >= 0 {
-					schedule(fuzzDelays[c], -1)
-				}
-			}))
+			if abort {
+				tm := k.AtInterrupt(delay, target)
+				aborts[tm.seq] = id
+				timers = append(timers, tm)
+				return
+			}
+			timers = append(timers, k.At(delay, func() { fire(id) }))
 		}
 		delay := func(arg int) float64 {
 			if i := arg % (len(fuzzDelays) + 1); i < len(fuzzDelays) {
@@ -378,11 +410,11 @@ func FuzzTimedQueue(f *testing.F) {
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := int(ops[i+1])
-			switch ops[i] % 5 {
+			switch ops[i] % 6 {
 			case 0:
-				schedule(delay(arg), -1)
+				schedule(delay(arg), -1, false)
 			case 1:
-				schedule(delay(arg), (arg>>4)%len(fuzzDelays))
+				schedule(delay(arg), (arg>>4)%len(fuzzDelays), false)
 			case 2:
 				if len(timers) == 0 {
 					continue
@@ -404,6 +436,8 @@ func FuzzTimedQueue(f *testing.F) {
 					t.Fatalf("Run(%g) returned with event %d pending at %g", until, w, evs[w].at)
 				}
 				now = max(now, until)
+			case 5:
+				schedule(delay(arg), -1, true)
 			}
 			if k.Now() != now || k.Steps() != fired {
 				t.Fatalf("after op %d: Now %g, Steps %d; want %g, %d", i/2, k.Now(), k.Steps(), now, fired)
@@ -420,7 +454,8 @@ func FuzzTimedQueue(f *testing.F) {
 }
 
 // timedQueueSeeds encodes FuzzTimedQueue inputs after the patterns of
-// TestTimedOrderConformance, plus a compaction and a nesting pattern.
+// TestTimedOrderConformance, plus compaction, nesting and deadline
+// backlog patterns.
 func timedQueueSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	var seeds [][]byte
@@ -458,5 +493,63 @@ func timedQueueSeeds() [][]byte {
 	for i := 0; i < 30; i++ {
 		b = append(b, 1, byte(rng.Intn(256)), byte(rng.Intn(5)), byte(rng.Intn(256)))
 	}
-	return append(seeds, b)
+	seeds = append(seeds, b)
+	// A backlog of 40 deadline aborts an hour and more ahead, some tied
+	// to each other, under churn of near events that each fire before
+	// the next is scheduled. Along the way a zero-delay event and an
+	// abort are stopped now and then (a lane and a heap tombstone), near
+	// events tie with pending ones across the two heaps, and finally
+	// most aborts are stopped, so both heaps compact, before the churn
+	// resumes and a run drains everything.
+	for round := 0; round < 2; round++ {
+		b = nil
+		n := 0 // events scheduled
+		sched := func(op, arg byte) {
+			b = append(b, op, arg)
+			n++
+		}
+		for i := 0; i < 40; i++ {
+			sched(5, byte(4+rng.Intn(3))) // an hour, 2^27 s or a tie
+		}
+		churn := func(steps int) {
+			for i := 0; i < steps; i++ {
+				sched(0, byte(1+rng.Intn(3)))
+				b = append(b, 3, 0)
+				switch rng.Intn(8) {
+				case 0:
+					sched(0, 0)
+					b = append(b, 2, byte(n-1)) // stop it in the lane
+				case 1:
+					b = append(b, 2, byte(rng.Intn(40))) // stop an abort
+				case 2:
+					sched(0, 6) // tie a near event to a pending time
+				}
+			}
+		}
+		churn(60)
+		for i := 0; i < 40; i++ {
+			if i%4 != 0 {
+				b = append(b, 2, byte(i))
+			}
+		}
+		churn(30)
+		seeds = append(seeds, append(b, 4, 5))
+	}
+	// Aborts and near events stopped and then stepped past, so every
+	// tombstone is dropped at a root and root reads go back to trusting
+	// the roots; then an abort tied to the one pending near event, which
+	// fires second, and more of both, stepped through.
+	b = nil
+	for i := 0; i < 8; i++ {
+		b = append(b, 5, 3, 0, 2)
+	}
+	b = append(b, 2, 0, 2, 3, 2, 4, 2, 9)
+	for i := 0; i < 16; i++ {
+		b = append(b, 3, 0)
+	}
+	b = append(b, 0, 3, 5, 6, 3, 0, 3, 0)
+	for i := 0; i < 8; i++ {
+		b = append(b, 5, byte(1+i%4), 0, byte(6-i%2), 3, 0)
+	}
+	return append(seeds, append(b, 4, 5))
 }

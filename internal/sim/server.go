@@ -147,9 +147,6 @@ func (s *Server) dispatch() {
 	if s.busy {
 		return
 	}
-	// MinWaiter preserves the arrival-order strict-< pick (first-arrived
-	// minimum) while skipping the full rescan when the cached eligibility
-	// bound identifies the winner early.
 	best := s.gate.MinWaiter()
 	if best == nil {
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -200,6 +201,9 @@ func TestGateStaleHandleIgnored(t *testing.T) {
 	k.Run(5)
 }
 
+// TestGateIterationArrivalOrder is the equal-Prio case of
+// TestGatePrioOrder: waiters sharing one priority iterate in arrival
+// order, and releasing one from the middle keeps the chain intact.
 func TestGateIterationArrivalOrder(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
@@ -233,6 +237,66 @@ func TestGateIterationArrivalOrder(t *testing.T) {
 		}
 	})
 	k.Drain()
+}
+
+// TestGatePrioOrder pins the gate's queue order: waiters with distinct
+// priorities iterate in (Prio, arrival) order, equal priorities stay
+// FIFO, and MinWaiter is the head. The order must survive an interrupt
+// that removes a waiter from the middle, service entry and release of
+// the head, and later arrivals.
+func TestGatePrioOrder(t *testing.T) {
+	k := NewKernel()
+	g := NewGate(k, "ed")
+	var procs []*Proc
+	arrive := func(prio float64) {
+		id := float64(len(procs))
+		procs = append(procs, k.Spawn("w", func(p *Proc) { g.WaitVal(p, prio, id) }))
+	}
+	for _, prio := range []float64{3, 1, 2, 1, 0, 3, 2, 1} {
+		arrive(prio)
+	}
+	check := func(when string, want ...int) {
+		t.Helper()
+		var got []int
+		for w := g.First(); w != nil; w = w.Next() {
+			got = append(got, int(w.Val))
+			if n := w.Next(); n != nil && (n.Prio < w.Prio || n.Prio == w.Prio && n.Seq() < w.Seq()) {
+				t.Fatalf("%s: waiter %g (prio %g) follows %g (prio %g)", when, n.Val, n.Prio, w.Val, w.Prio)
+			}
+		}
+		if !slices.Equal(got, want) || g.Len() != len(want) {
+			t.Fatalf("%s: order %v (len %d), want %v", when, got, g.Len(), want)
+		}
+		if g.MinWaiter() != g.First() {
+			t.Fatalf("%s: MinWaiter is not the head", when)
+		}
+	}
+	k.Run(0) // spawn turns: everyone queues
+	check("queued", 4, 1, 3, 7, 2, 6, 0, 5)
+	procs[7].Interrupt()
+	check("after interrupting 7", 4, 1, 3, 2, 6, 0, 5)
+	served := g.First()
+	if !g.BeginService(served) {
+		t.Fatal("BeginService of the head failed")
+	}
+	check("after service entry of the head", 1, 3, 2, 6, 0, 5)
+	if !g.Release(g.First()) {
+		t.Fatal("Release of the head failed")
+	}
+	check("after releasing the head", 3, 2, 6, 0, 5)
+	arrive(1)
+	arrive(0)
+	arrive(3)
+	k.Run(0)
+	check("after three more arrivals", 9, 3, 8, 2, 6, 0, 5, 10)
+	g.EndService(served)
+	for _, p := range procs {
+		p.Interrupt()
+	}
+	k.Drain()
+	if g.Len() != 0 || k.LiveProcs() != 0 {
+		t.Fatalf("teardown left %d queued, %d live", g.Len(), k.LiveProcs())
+	}
 }
 
 func TestGateEntryRecycledAcrossWaits(t *testing.T) {
