@@ -136,6 +136,21 @@ func main() {
 	if !(*rate >= 0) {
 		fail(fmt.Errorf("-rate must be a non-negative number of queries/sec (0 = preset default), got %g", *rate))
 	}
+	if !(*conf > 0 && *conf < 1) {
+		fail(fmt.Errorf("-confidence must lie strictly between 0 and 1, got %g", *conf))
+	}
+	if *reps < 1 {
+		fail(fmt.Errorf("-reps must be at least 1, got %d", *reps))
+	}
+	if *disks < 0 {
+		fail(fmt.Errorf("-disks must be non-negative (0 = preset default), got %d", *disks))
+	}
+	if *memory < 0 {
+		fail(fmt.Errorf("-memory must be non-negative (0 = preset default), got %d", *memory))
+	}
+	if *clients < 0 {
+		fail(fmt.Errorf("-clients must be non-negative (0 = 100000), got %d", *clients))
+	}
 	if *rate > 0 {
 		cfg.Classes[0].ArrivalRate = *rate
 		if len(cfg.Phases) > 0 {

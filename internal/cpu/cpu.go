@@ -59,16 +59,15 @@ func (c *CPU) Seconds(instructions float64) float64 {
 // arrives at its next step. entered=false means the call finished
 // immediately with result ok — a zero-instruction burst or an elided
 // one (ok=true; see sim.Server.StartUse), or a pending interrupt that
-// consumed the wait (ok=false). The goroutine-process counterpart, Run,
-// is test-only (see proc_compat_test.go).
-func (c *CPU) StartRun(t sim.Task, prio float64, instructions float64) (entered, ok bool) {
+// consumed the wait (ok=false).
+func (c *CPU) StartRun(p *sim.Proc, prio float64, instructions float64) (entered, ok bool) {
 	if instructions < 0 {
 		panic(fmt.Sprintf("cpu: negative instruction count %g", instructions))
 	}
 	if instructions == 0 {
 		return false, true
 	}
-	return c.server.StartUse(t, prio, c.Seconds(instructions))
+	return c.server.StartUse(p, prio, c.Seconds(instructions))
 }
 
 // Meter exposes busy-time accounting for utilization measurements.

@@ -7,6 +7,37 @@ import (
 	"pmm/internal/sim"
 )
 
+// burstFrame runs one burst on a CPU, then calls done (if non-nil) with
+// the burst's outcome.
+type burstFrame struct {
+	sim.FrameState
+	p                  *sim.Proc
+	c                  *CPU
+	prio, instructions float64
+	done               func(p *sim.Proc, ok bool)
+}
+
+func (f *burstFrame) Step(m *sim.Machine, ok bool) sim.Status {
+	if f.PC == 0 {
+		f.PC = 1
+		var entered bool
+		if entered, ok = f.c.StartRun(f.p, f.prio, f.instructions); entered {
+			return sim.Park
+		}
+	}
+	if f.done != nil {
+		f.done(f.p, ok)
+	}
+	return m.Return(ok)
+}
+
+// spawnRun spawns a process that runs one burst on c; see burstFrame.
+func spawnRun(k *sim.Kernel, name string, c *CPU, prio, instructions float64, done func(p *sim.Proc, ok bool)) *sim.Proc {
+	f := &burstFrame{c: c, prio: prio, instructions: instructions, done: done}
+	f.p = k.Spawn(name, f)
+	return f.p
+}
+
 func TestSecondsConversion(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
@@ -22,8 +53,8 @@ func TestRunConsumesTime(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
 	var done float64
-	k.Spawn("worker", func(p *sim.Proc) {
-		if !c.Run(p, 1, 80e6) {
+	spawnRun(k, "worker", c, 1, 80e6, func(p *sim.Proc, ok bool) {
+		if !ok {
 			t.Error("unexpected interrupt")
 		}
 		done = p.Now()
@@ -40,8 +71,8 @@ func TestRunConsumesTime(t *testing.T) {
 func TestZeroInstructionsFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
-	k.Spawn("worker", func(p *sim.Proc) {
-		if !c.Run(p, 1, 0) {
+	spawnRun(k, "worker", c, 1, 0, func(p *sim.Proc, ok bool) {
+		if !ok {
 			t.Error("zero-cost run failed")
 		}
 		if p.Now() != 0 {
@@ -55,14 +86,12 @@ func TestEDOrderOnCPU(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 1)
 	var order []string
-	k.Spawn("first", func(p *sim.Proc) { c.Run(p, 0, 5e6) })
+	spawnRun(k, "first", c, 0, 5e6, nil)
 	k.At(1, func() {
-		k.Spawn("late-deadline", func(p *sim.Proc) {
-			c.Run(p, 100, 1e6)
+		spawnRun(k, "late-deadline", c, 100, 1e6, func(*sim.Proc, bool) {
 			order = append(order, "late")
 		})
-		k.Spawn("early-deadline", func(p *sim.Proc) {
-			c.Run(p, 10, 1e6)
+		spawnRun(k, "early-deadline", c, 10, 1e6, func(*sim.Proc, bool) {
 			order = append(order, "early")
 		})
 	})
@@ -75,15 +104,13 @@ func TestEDOrderOnCPU(t *testing.T) {
 func TestNegativeInstructionsPanics(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, 40)
-	k.Spawn("worker", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative instruction count did not panic")
-			}
-		}()
-		c.Run(p, 1, -5)
-	})
-	defer func() { recover() }() // the kernel re-raises the proc panic
+	spawnRun(k, "worker", c, 1, -5, nil)
+	// StartRun panics in the worker's turn, which Drain runs.
+	defer func() {
+		if recover() == nil {
+			t.Error("negative instruction count did not panic")
+		}
+	}()
 	k.Drain()
 }
 

@@ -71,7 +71,7 @@ func (p Params) MeanAccessTime(seekCylinders, pages int) float64 {
 }
 
 // Request is one disk access record. The fields are internal; callers of
-// the inline Start access methods own a scratch Request (typically one
+// the Start access methods own a scratch Request (typically one
 // per executor, since a process has at most one access in flight) that
 // the disk fills and reads, so queueing an access never allocates.
 type Request struct {
@@ -258,12 +258,9 @@ func (d *Disk) clamp(req *Request) {
 //   - ok=false: a pending interrupt consumed the wait. A transfer that
 //     had already started on an idle disk still completes on the disk's
 //     timeline, exactly like an interrupt arriving mid-transfer.
-//
-// The goroutine-process counterparts, Access and AccessSeq, are
-// test-only (see proc_compat_test.go).
-func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *Request) (entered, ok bool) {
+func (d *Disk) StartAccess(p *sim.Proc, prio float64, cylinder, pages int, req *Request) (entered, ok bool) {
 	*req = Request{cylinder: cylinder, pages: pages, prio: prio}
-	return d.start(t, prio, req)
+	return d.start(p, prio, req)
 }
 
 // StartAccessSeq is the sequential counterpart of StartAccess: page
@@ -272,14 +269,14 @@ func (d *Disk) StartAccess(t sim.Task, prio float64, cylinder, pages int, req *R
 // positioned the data); otherwise it pays the full seek and rotational
 // delay and starts a new tracked stream. Same caller-owned scratch
 // record and (entered, ok) contract as StartAccess.
-func (d *Disk) StartAccessSeq(t sim.Task, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) (entered, ok bool) {
+func (d *Disk) StartAccessSeq(p *sim.Proc, prio float64, cylinder, pages int, file int64, fromPage int, req *Request) (entered, ok bool) {
 	*req = Request{
 		cylinder: cylinder, pages: pages, prio: prio, file: file, page: fromPage,
 	}
-	return d.start(t, prio, req)
+	return d.start(p, prio, req)
 }
 
-func (d *Disk) start(t sim.Task, prio float64, req *Request) (entered, ok bool) {
+func (d *Disk) start(p *sim.Proc, prio float64, req *Request) (entered, ok bool) {
 	d.clamp(req)
 	if !d.busy {
 		// Idle disk: serve immediately. The caller waits in a
@@ -291,16 +288,16 @@ func (d *Disk) start(t sim.Task, prio float64, req *Request) (entered, ok bool) 
 		d.meter.SetBusy(true)
 		service := d.serviceTime(req)
 		// Elided: the completion, the hold wake and the resumed turn.
-		if service > 0 && !t.PendingInterrupt() && d.k.Elide(d.k.Now()+service, 3) {
+		if service > 0 && !p.PendingInterrupt() && d.k.Elide(d.k.Now()+service, 3) {
 			d.finish()
 			return false, true
 		}
-		d.rider, entered = d.k.AtCompleteRide(service, d.compID, t)
+		d.rider, entered = d.k.AtCompleteRide(service, d.compID, p)
 		return entered, false
 	}
 	// Queued: the scratch record backs the queue entry until dispatch
 	// reads its service parameters or an interrupt unlinks the entry.
-	return d.gate.Enqueue(t, prio, req, 0), false
+	return d.gate.Enqueue(p, prio, req, 0), false
 }
 
 // maxStreams is how many concurrent sequential streams the 256 KB cache

@@ -8,6 +8,66 @@ import (
 	"pmm/internal/sim"
 )
 
+// step is one step of a test process written in straight-line form
+// (stepFrame). It runs plain code and may arm one wait, returning what
+// the Start* call reported: entered=true parks the process until the
+// wait ends; entered=false hands res to the next step at once, as the
+// outcome of a wait that finished within the call.
+type step func(p *sim.Proc, ok bool) (entered, res bool)
+
+// stepFrame runs steps in order: the frame form of a body of blocking
+// calls. Each step receives the outcome of the wait before it (true for
+// the first), and the frame returns the last outcome.
+type stepFrame struct {
+	sim.FrameState
+	p     *sim.Proc
+	steps []step
+}
+
+func (f *stepFrame) Step(m *sim.Machine, ok bool) sim.Status {
+	for int(f.PC) < len(f.steps) {
+		s := f.steps[f.PC]
+		f.PC++
+		var entered bool
+		if entered, ok = s(f.p, ok); entered {
+			return sim.Park
+		}
+	}
+	return m.Return(ok)
+}
+
+// spawnSteps spawns a process that runs steps in order.
+func spawnSteps(k *sim.Kernel, name string, steps ...step) *sim.Proc {
+	f := &stepFrame{steps: steps}
+	f.p = k.Spawn(name, f)
+	return f.p
+}
+
+// access and accessSeq are steps that make one disk access each, with
+// a scratch request of their own.
+func access(d *Disk, prio float64, cylinder, pages int) step {
+	var req Request
+	return func(p *sim.Proc, _ bool) (bool, bool) {
+		return d.StartAccess(p, prio, cylinder, pages, &req)
+	}
+}
+
+func accessSeq(d *Disk, prio float64, cylinder, pages int, file int64, fromPage int) step {
+	var req Request
+	return func(p *sim.Proc, _ bool) (bool, bool) {
+		return d.StartAccessSeq(p, prio, cylinder, pages, file, fromPage, &req)
+	}
+}
+
+// then is a step that runs fn with the outcome of the wait before it
+// and passes that outcome on.
+func then(fn func(p *sim.Proc, ok bool)) step {
+	return func(p *sim.Proc, ok bool) (bool, bool) {
+		fn(p, ok)
+		return false, ok
+	}
+}
+
 func newTestManager(t *testing.T, numDisks, relCyl int) (*sim.Kernel, *Manager) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -46,12 +106,12 @@ func TestAccessTakesTime(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	var done float64
-	k.Spawn("reader", func(p *sim.Proc) {
-		if !d.Access(p, 1, 700, 6) {
+	spawnSteps(k, "reader", access(d, 1, 700, 6), then(func(p *sim.Proc, ok bool) {
+		if !ok {
 			t.Error("access interrupted unexpectedly")
 		}
 		done = p.Now()
-	})
+	}))
 	k.Drain()
 	min := DefaultParams().TransferTime(6)
 	if done < min {
@@ -75,10 +135,10 @@ func TestElisionDiskAccess(t *testing.T) {
 		k, m := newTestManager(t, 1, 100)
 		d := m.Disk(0)
 		var req Request
-		var p *sim.InlineProc
+		var p *sim.Proc
 		var entered, ok bool
 		var at float64
-		p = k.SpawnInline("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+		p = k.Spawn("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
 			func(m *sim.Machine, _ bool) sim.Status {
 				if interrupt {
 					p.Interrupt()
@@ -116,10 +176,10 @@ func TestInterruptDuringDirectTransfer(t *testing.T) {
 	d := m.Disk(0)
 	k.At(100, func() {})
 	var req Request
-	var p *sim.InlineProc
+	var p *sim.Proc
 	entered, ok := false, true
 	var resumed, held float64
-	p = k.SpawnInline("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+	p = k.Spawn("reader", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
 		func(m *sim.Machine, _ bool) sim.Status {
 			entered, _ = d.StartAccess(p, 1, 700, 6, &req)
 			return sim.Park
@@ -152,20 +212,14 @@ func TestEDPriorityOrder(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	var order []string
+	record := func(name string) step {
+		return then(func(*sim.Proc, bool) { order = append(order, name) })
+	}
 	// Occupy the disk, then queue low before high; high must win.
-	k.Spawn("first", func(p *sim.Proc) {
-		d.Access(p, 0, 750, 6)
-		order = append(order, "first")
-	})
+	spawnSteps(k, "first", access(d, 0, 750, 6), record("first"))
 	k.At(0.001, func() {
-		k.Spawn("low", func(p *sim.Proc) {
-			d.Access(p, 9, 700, 6)
-			order = append(order, "low")
-		})
-		k.Spawn("high", func(p *sim.Proc) {
-			d.Access(p, 1, 800, 6)
-			order = append(order, "high")
-		})
+		spawnSteps(k, "low", access(d, 9, 700, 6), record("low"))
+		spawnSteps(k, "high", access(d, 1, 800, 6), record("high"))
 	})
 	k.Drain()
 	if len(order) != 3 || order[1] != "high" || order[2] != "low" {
@@ -180,14 +234,11 @@ func TestElevatorTieBreak(t *testing.T) {
 	// Head starts at 750 ascending. Queue equal-priority requests at
 	// cylinders 760, 740, 790 while the disk is busy; the elevator should
 	// serve 760, then 790 (continuing up), then 740.
-	k.Spawn("first", func(p *sim.Proc) { d.Access(p, 0, 755, 6) })
+	spawnSteps(k, "first", access(d, 0, 755, 6))
 	k.At(0.0001, func() {
 		for _, cyl := range []int{790, 740, 760} {
 			cyl := cyl
-			k.Spawn("tie", func(p *sim.Proc) {
-				d.Access(p, 5, cyl, 6)
-				order = append(order, cyl)
-			})
+			spawnSteps(k, "tie", access(d, 5, cyl, 6), then(func(*sim.Proc, bool) { order = append(order, cyl) }))
 		}
 	})
 	k.Drain()
@@ -203,18 +254,20 @@ func TestSequentialStreamFasterThanRandom(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	var streamTime, randomTime float64
-	k.Spawn("stream", func(p *sim.Proc) {
-		start := p.Now()
-		for i := 0; i < 50; i++ {
-			d.AccessSeq(p, 1, 700, 6, 7, i*6)
-		}
+	var start float64
+	steps := []step{then(func(p *sim.Proc, _ bool) { start = p.Now() })}
+	for i := 0; i < 50; i++ {
+		steps = append(steps, accessSeq(d, 1, 700, 6, 7, i*6))
+	}
+	steps = append(steps, then(func(p *sim.Proc, _ bool) {
 		streamTime = p.Now() - start
 		start = p.Now()
-		for i := 0; i < 50; i++ {
-			d.Access(p, 1, 700+i%3, 6)
-		}
-		randomTime = p.Now() - start
-	})
+	}))
+	for i := 0; i < 50; i++ {
+		steps = append(steps, access(d, 1, 700+i%3, 6))
+	}
+	steps = append(steps, then(func(p *sim.Proc, _ bool) { randomTime = p.Now() - start }))
+	spawnSteps(k, "stream", steps...)
 	k.Drain()
 	// After the first block, every streamed access costs pure transfer.
 	wantStream := 49*DefaultParams().TransferTime(6) + DefaultParams().MeanAccessTime(0, 6) + DefaultParams().RotationTime/2
@@ -233,13 +286,13 @@ func TestStreamThrashWithManyStreams(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
 	// Three interleaved streams exceed the cache's two slots: hits drop.
-	k.Spawn("thrash", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			for f := int64(1); f <= 3; f++ {
-				d.AccessSeq(p, 1, 700, 6, f, i*6)
-			}
+	var steps []step
+	for i := 0; i < 30; i++ {
+		for f := int64(1); f <= 3; f++ {
+			steps = append(steps, accessSeq(d, 1, 700, 6, f, i*6))
 		}
-	})
+	}
+	spawnSteps(k, "thrash", steps...)
 	k.Drain()
 	if d.SeqHits() > 10 {
 		t.Fatalf("three-way interleave should thrash the cache; hits = %d", d.SeqHits())
@@ -249,13 +302,13 @@ func TestStreamThrashWithManyStreams(t *testing.T) {
 func TestTwoStreamsBothHit(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
-	k.Spawn("dual", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			for f := int64(1); f <= 2; f++ {
-				d.AccessSeq(p, 1, 700, 6, f, i*6)
-			}
+	var steps []step
+	for i := 0; i < 30; i++ {
+		for f := int64(1); f <= 2; f++ {
+			steps = append(steps, accessSeq(d, 1, 700, 6, f, i*6))
 		}
-	})
+	}
+	spawnSteps(k, "dual", steps...)
 	k.Drain()
 	if d.SeqHits() < 50 {
 		t.Fatalf("two interleaved streams should both hit; hits = %d", d.SeqHits())
@@ -265,12 +318,9 @@ func TestTwoStreamsBothHit(t *testing.T) {
 func TestInterruptWhileQueued(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
-	k.Spawn("occupier", func(p *sim.Proc) { d.Access(p, 0, 700, 90) })
+	spawnSteps(k, "occupier", access(d, 0, 700, 90))
 	var got *bool
-	victim := k.Spawn("victim", func(p *sim.Proc) {
-		ok := d.Access(p, 1, 710, 6)
-		got = &ok
-	})
+	victim := spawnSteps(k, "victim", access(d, 1, 710, 6), then(func(_ *sim.Proc, ok bool) { got = &ok }))
 	k.At(0.001, func() { victim.Interrupt() })
 	k.Drain()
 	if got == nil || *got {
@@ -280,9 +330,7 @@ func TestInterruptWhileQueued(t *testing.T) {
 
 func TestUtilizationWindows(t *testing.T) {
 	k, m := newTestManager(t, 2, 100)
-	k.Spawn("user", func(p *sim.Proc) {
-		m.Disk(0).Access(p, 1, 700, 6)
-	})
+	spawnSteps(k, "user", access(m.Disk(0), 1, 700, 6))
 	k.Run(10)
 	zero := []float64{0, 0}
 	if m.MaxUtilization(0, zero) <= 0 {
@@ -435,7 +483,7 @@ func TestRegionAllocProperty(t *testing.T) {
 // elided.
 type accessLoopFrame struct {
 	sim.FrameState
-	t    sim.Task
+	p    *sim.Proc
 	d    *Disk
 	req  Request
 	left int
@@ -451,7 +499,7 @@ func (f *accessLoopFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.left--
 			f.PC = 1
 			var entered bool
-			if entered, ok = f.d.StartAccess(f.t, 1, 600+200*(f.left&1), 6, &f.req); entered {
+			if entered, ok = f.d.StartAccess(f.p, 1, 600+200*(f.left&1), 6, &f.req); entered {
 				return sim.Park
 			}
 		case 1:
@@ -478,7 +526,7 @@ func BenchmarkDiskDirectAccess(b *testing.B) {
 	}
 	const warm = 16
 	f := &accessLoopFrame{d: m.Disk(0), left: b.N + warm}
-	f.t = k.SpawnInline("reader", f)
+	f.p = k.Spawn("reader", f)
 	var tick func()
 	tick = func() {
 		if f.left > 0 {

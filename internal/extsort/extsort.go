@@ -9,11 +9,10 @@
 // cache explicitly excludes the merge phase — while run formation and run
 // writing move data in blocks.
 //
-// The operator runs on the kernel's inline process representation: run
-// formation and merging are resumable frames (program counter + locals
-// promoted to fields), stepping through the identical sequence of CPU
-// bursts, disk transfers and memory waits as the original blocking
-// implementation.
+// The operator runs as a kernel process: run formation and merging are
+// resumable frames (program counter + locals promoted to fields),
+// stepping through the identical sequence of CPU bursts, disk transfers
+// and memory waits as the original blocking implementation.
 package extsort
 
 import (

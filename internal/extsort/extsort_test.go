@@ -58,7 +58,7 @@ func (h *harness) run(alloc int) bool {
 	return ok
 }
 
-// launch starts the sort on an inline process, recording its result in
+// launch starts the sort on a process, recording its result in
 // ok and, when finished is non-nil, the completion time.
 func (h *harness) launch(ok *bool, finished *float64) {
 	e := &query.Exec{Env: h.env, Q: h.q}

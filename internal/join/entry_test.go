@@ -8,7 +8,7 @@ import (
 	"pmm/internal/trace"
 )
 
-// returnsAtOnce runs child's step 0 alone on a fresh inline process
+// returnsAtOnce runs child's step 0 alone on a fresh process
 // bound to e, on an idle kernel k. It reports whether that step returned
 // true while leaving the kernel untouched: no sequence number taken, no
 // step counted and the clock unmoved. A sink is attached to read the
@@ -26,7 +26,7 @@ func returnsAtOnce(t *testing.T, k *sim.Kernel, e *query.Exec, child sim.Frame) 
 			return first
 		},
 	}}
-	p := k.SpawnInline("entry", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
+	p := k.Spawn("entry", &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
 		func(m *sim.Machine, _ bool) sim.Status { return m.Call(step0) },
 		func(m *sim.Machine, ok bool) sim.Status { got = ok; return m.Return(ok) },
 	}})

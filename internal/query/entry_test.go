@@ -7,7 +7,7 @@ import (
 	"pmm/internal/trace"
 )
 
-// returnsAtOnce runs child's step 0 alone on a fresh inline process
+// returnsAtOnce runs child's step 0 alone on a fresh process
 // bound to e, on an idle kernel k. It reports whether that step returned
 // true while leaving the kernel untouched: no sequence number taken, no
 // step counted and the clock unmoved. A sink is attached to read the

@@ -5,14 +5,12 @@
 // resources at their ED priority, and temporary-file plumbing for
 // spooled partitions and sort runs.
 //
-// Query execution runs on the kernel's inline process representation:
-// operators are resumable state machines (sim.Frame) rather than
-// blocking goroutine bodies, so a query turn costs a function call
-// instead of two goroutine channel handoffs. Exec provides the leaf
-// waits (StartCPU and the disk transfers inside the Call* frames) and
-// reusable child frames for the common blocking compounds; all of them
-// reproduce the event sequence of the original blocking implementation
-// bit for bit.
+// Query execution runs as kernel processes: operators are resumable
+// state machines (sim.Frame) that the kernel steps directly, so a query
+// turn costs a function call. Exec provides the leaf waits (StartCPU
+// and the disk transfers inside the Call* frames) and reusable child
+// frames for the common blocking compounds; all of them reproduce the
+// event sequence of the original blocking implementation bit for bit.
 //
 // Operators consult the pacing and memory waits once per block, and
 // nearly always the wait has nothing to do. So each has an entry test
@@ -90,7 +88,7 @@ type Query struct {
 	// IOCount is the number of disk requests this query issued.
 	IOCount int
 	// Proc is the simulation process executing the query.
-	Proc sim.Task
+	Proc *sim.Proc
 }
 
 // Prio returns the query's Earliest Deadline priority: its deadline.
@@ -140,7 +138,7 @@ type IOStats struct {
 type Exec struct {
 	*Env
 	Q *Query
-	P sim.Task
+	P *sim.Proc
 
 	// req is the scratch record backing the single disk access this
 	// query can have in flight.
@@ -591,11 +589,11 @@ type Operator interface {
 	Start(e *Exec) sim.Frame
 }
 
-// Launch spawns an inline process that runs op against e, binding e.P
-// (and Q.Proc) to the new process. done, if non-nil, receives the
-// operator's result when it finishes. It is the harness for running a
-// single operator outside the full system (tests, calibration tools).
-func Launch(k *sim.Kernel, name string, e *Exec, op Operator, done func(ok bool)) sim.Task {
+// Launch spawns a process that runs op against e, binding e.P (and
+// Q.Proc) to the new process. done, if non-nil, receives the operator's
+// result when it finishes. It is the harness for running a single
+// operator outside the full system (tests, calibration tools).
+func Launch(k *sim.Kernel, name string, e *Exec, op Operator, done func(ok bool)) *sim.Proc {
 	s := &sim.Script{Stages: []func(*sim.Machine, bool) sim.Status{
 		func(m *sim.Machine, ok bool) sim.Status { return m.Call(op.Start(e)) },
 		func(m *sim.Machine, ok bool) sim.Status {
@@ -605,7 +603,7 @@ func Launch(k *sim.Kernel, name string, e *Exec, op Operator, done func(ok bool)
 			return m.Return(ok)
 		},
 	}}
-	t := k.SpawnInline(name, s)
+	t := k.Spawn(name, s)
 	e.P = t
 	e.Q.Proc = t
 	return t

@@ -33,11 +33,11 @@ func newQuery(rel *catalog.Relation) *Query {
 		StandAlone: 10, MinMem: 5, MaxMem: 100, ReadIOs: 20, Alloc: 100}
 }
 
-// script spawns an inline process running the given stages with e bound
+// script spawns a process running the given stages with e bound
 // to it. Each stage ends its turn like any frame step: park, call, or
 // return; the next stage receives the outcome.
-func script(k *sim.Kernel, e *Exec, stages ...func(m *sim.Machine, ok bool) sim.Status) sim.Task {
-	p := k.SpawnInline("script", &sim.Script{Stages: stages})
+func script(k *sim.Kernel, e *Exec, stages ...func(m *sim.Machine, ok bool) sim.Status) *sim.Proc {
+	p := k.Spawn("script", &sim.Script{Stages: stages})
 	e.P = p
 	e.Q.Proc = p
 	return p

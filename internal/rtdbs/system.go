@@ -167,7 +167,7 @@ func (s *System) rateAndBoundary(class int, t float64) (rate, boundary float64) 
 type sourceFrame struct {
 	sim.FrameState
 	s  *System
-	p  sim.Task
+	p  *sim.Proc
 	ci int
 }
 
@@ -228,7 +228,7 @@ func (f *sourceFrame) Step(m *sim.Machine, ok bool) sim.Status {
 type batchedSourceFrame struct {
 	sim.FrameState
 	s   *System
-	p   sim.Task
+	p   *sim.Proc
 	src *workload.ArrivalSource
 	ci  int
 }
@@ -264,12 +264,12 @@ func (s *System) startSources() {
 			f := sim.AllocFrom[batchedSourceFrame](s.k.Arena())
 			f.s, f.ci, f.src = s, ci, s.gen.Source(ci)
 			s.srcs[ci] = f.src
-			f.p = s.k.SpawnInline(name, f)
+			f.p = s.k.Spawn(name, f)
 			continue
 		}
 		f := sim.AllocFrom[sourceFrame](s.k.Arena())
 		f.s, f.ci = s, ci
-		f.p = s.k.SpawnInline(name, f)
+		f.p = s.k.Spawn(name, f)
 	}
 }
 
@@ -338,7 +338,7 @@ func (s *System) launch(q *query.Query) {
 	f := sim.AllocFrom[queryFrame](s.k.Arena())
 	f.s, f.q = s, q
 	f.e = query.Exec{Env: s.env, Q: q}
-	q.Proc = s.k.SpawnInline(fmt.Sprintf("q%d", q.ID), f)
+	q.Proc = s.k.Spawn(fmt.Sprintf("q%d", q.ID), f)
 	f.e.P = q.Proc
 	// The abort event deliberately fires even for queries that finish
 	// early (interrupting a dead process is a no-op): cancelling it on

@@ -80,7 +80,9 @@ type Spec struct {
 	// in flight share GOMAXPROCS: each one's Config.Shards is capped at
 	// GOMAXPROCS divided by min(Workers, jobs in the round).
 	Workers int
-	// Confidence is the level of the aggregate intervals (default 0.95).
+	// Confidence is the level of the aggregate intervals, strictly
+	// between 0 and 1 (0 means 0.95; Run rejects any other value
+	// outside that range).
 	Confidence float64
 	// Stop, when non-nil, replaces the fixed Reps with adaptive
 	// replication: replicates run in rounds until every point (or point
@@ -114,7 +116,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Workers <= 0 {
 		s.Workers = runtime.GOMAXPROCS(0)
 	}
-	if s.Confidence <= 0 || s.Confidence >= 1 {
+	if s.Confidence == 0 {
 		s.Confidence = 0.95
 	}
 	if s.simulate == nil {
@@ -224,6 +226,9 @@ func (s Spec) expand() []Point {
 // the store are served from it instead of being simulated. Neither
 // changes the results a given (point, replicate) contributes.
 func Run(s Spec) ([]PointResult, error) {
+	if c := s.Confidence; c != 0 && !(c > 0 && c < 1) {
+		return nil, fmt.Errorf("runner: Confidence must lie strictly between 0 and 1 (0 = 0.95), got %g", c)
+	}
 	s = s.withDefaults()
 	points := s.expand()
 	results := make([]PointResult, len(points))

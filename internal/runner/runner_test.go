@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -272,6 +273,26 @@ func TestRunPropagatesAssemblyErrors(t *testing.T) {
 	bad.Classes = nil
 	if _, err := Run(Spec{Base: bad}); err == nil {
 		t.Fatal("expected assembly error")
+	}
+}
+
+// TestRunRejectsMalformedConfidence: a confidence level outside (0, 1)
+// or NaN is an error naming it, rather than silently becoming 95%; 0
+// still selects the 95% default.
+func TestRunRejectsMalformedConfidence(t *testing.T) {
+	simulate := synthSim(func(rtdbs.PolicyKind) float64 { return 0.3 }, 0.05, nil)
+	for _, c := range []float64{math.NaN(), 1.5, 1, -1, math.Inf(1)} {
+		_, err := Run(Spec{Base: synthBase(), Reps: 2, Confidence: c, simulate: simulate})
+		if err == nil || !strings.Contains(err.Error(), "Confidence") {
+			t.Errorf("Confidence %g: err = %v, want an error naming Confidence", c, err)
+		}
+	}
+	points, err := Run(Spec{Base: synthBase(), Reps: 2, simulate: simulate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := points[0].Agg.Confidence; got != 0.95 {
+		t.Errorf("Confidence 0 aggregated at %g, want the 0.95 default", got)
 	}
 }
 

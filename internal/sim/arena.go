@@ -3,12 +3,12 @@ package sim
 import "reflect"
 
 // Arena is a per-kernel allocation region for simulation state with a
-// replicate lifetime: the kernel struct itself, inline-process frames,
-// and operator scratch. A sweep worker builds each replicate's kernel
-// with NewKernelIn(arena), runs it, harvests the results, and calls
-// Reset — the next replicate then starts warm, reusing every slab chunk
-// and queue backing array the previous one grew, instead of re-growing
-// them from nothing. Arenas are single-threaded: one arena belongs to
+// replicate lifetime: the kernel struct itself, processes and their
+// frames, and operator scratch. A sweep worker builds each replicate's
+// kernel with NewKernelIn(arena), runs it, harvests the results, and
+// calls Reset — the next replicate then starts warm, reusing every slab
+// chunk and queue backing array the previous one grew, instead of
+// re-growing them from nothing. Arenas are single-threaded: one arena belongs to
 // one worker (one kernel at a time), and nothing inside is locked.
 type Arena struct {
 	slabs  map[reflect.Type]resettable
@@ -23,7 +23,7 @@ type Arena struct {
 	laneBuf []laneItem
 	heapBuf []heapItem
 	dlBuf   []heapItem
-	taskBuf []*taskCore
+	taskBuf []*Proc
 	compBuf []Completer
 }
 

@@ -7,14 +7,14 @@ import (
 )
 
 // arenaReplicate runs one warm-start replicate in a: a kernel, a batch
-// of inline processes that each hold n times, drained to completion.
+// of processes that each hold n times, drained to completion.
 // It returns the kernel's executed-step count as a digest.
 func arenaReplicate(a *Arena, batch, n int) uint64 {
 	k := NewKernelIn(a)
 	for j := 0; j < batch; j++ {
 		f := AllocFrom[warmStartFrame](a)
 		f.n = n
-		f.t = k.SpawnInline("w", f)
+		f.p = k.Spawn("w", f)
 	}
 	k.Drain()
 	return k.Steps()
@@ -44,7 +44,7 @@ func TestArenaMatchesHeapKernel(t *testing.T) {
 	k := NewKernel()
 	for j := 0; j < 32; j++ {
 		f := &warmStartFrame{n: 4}
-		f.t = k.SpawnInline("w", f)
+		f.p = k.Spawn("w", f)
 	}
 	k.Drain()
 	want := k.Steps()
@@ -118,7 +118,7 @@ func TestSlabResetZeroes(t *testing.T) {
 	if g != f {
 		t.Fatalf("reset slab handed out a different element first")
 	}
-	if g.n != 0 || g.PC != 0 || g.t != nil {
+	if g.n != 0 || g.PC != 0 || g.p != nil {
 		t.Fatalf("recycled element not zeroed: %+v", g)
 	}
 }

@@ -98,44 +98,14 @@ func BenchmarkKernelZeroDelay(b *testing.B) {
 	}
 }
 
-// BenchmarkHoldWake measures the process handoff cycle: a Hold (timer
-// park + timed wake), then a Park ended by an external Wake.
-func BenchmarkHoldWake(b *testing.B) {
-	k := NewKernel()
-	p := k.Spawn("holdwake", func(p *Proc) {
-		for {
-			if !p.Hold(1) {
-				return
-			}
-			if !p.Park() {
-				return
-			}
-		}
-	})
-	k.Step() // spawn turn: proc runs and parks in Hold
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake scheduled
-		k.Step() // proc resumes, blocks in Park
-		p.Wake()
-		k.Step() // proc resumes, blocks in Hold again
-	}
-	b.StopTimer()
-	p.Interrupt()
-	k.Drain()
-}
-
-// BenchmarkInlineHoldWake is the inline-process equivalent of
-// BenchmarkHoldWake: the identical hold/park/wake cycle expressed as a
-// resumable frame the kernel steps directly, with no goroutine handoffs.
-// The gap between the two benchmarks is the per-turn cost of the
-// goroutine representation's two channel handoffs.
+// BenchmarkInlineHoldWake measures the process wait cycle: a hold (timer
+// park + timed wake), then a plain park ended by an external Wake, each
+// resumed by a turn the kernel runs as a call into the process's frame.
 func BenchmarkInlineHoldWake(b *testing.B) {
 	k := NewKernel()
 	f := &holdWakeFrame{}
-	p := k.SpawnInline("holdwake", f)
-	f.t = p
+	p := k.Spawn("holdwake", f)
+	f.p = p
 	k.Step() // spawn turn: machine runs and parks in its hold
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -154,7 +124,7 @@ func BenchmarkInlineHoldWake(b *testing.B) {
 // turn cycle with no external wakes, isolating event dispatch.
 type holdOnlyFrame struct {
 	FrameState
-	t Task
+	p *Proc
 }
 
 func (f *holdOnlyFrame) Step(m *Machine, ok bool) Status {
@@ -162,7 +132,7 @@ func (f *holdOnlyFrame) Step(m *Machine, ok bool) Status {
 		switch f.PC {
 		case 0:
 			f.PC = 1
-			if f.t.StartHold(1) {
+			if f.p.StartHold(1) {
 				return Park
 			}
 			ok = false
@@ -176,14 +146,14 @@ func (f *holdOnlyFrame) Step(m *Machine, ok bool) Status {
 }
 
 // BenchmarkTypedDispatch measures the kernel's event dispatch in
-// isolation: an inline process endlessly re-arming a hold, so every
+// isolation: a process endlessly re-arming a hold, so every
 // kernel step fires either a timed task wake or a zero-delay task turn —
 // the two event kinds that dominate simulation runs.
 func BenchmarkTypedDispatch(b *testing.B) {
 	k := NewKernel()
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
-	f.t = p
+	p := k.Spawn("dispatch", f)
+	f.p = p
 	k.Step() // spawn turn: machine parks in its hold
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -200,7 +170,7 @@ func BenchmarkTypedDispatch(b *testing.B) {
 // when a burst is not elided.
 type burstLoopFrame struct {
 	FrameState
-	t Task
+	p *Proc
 	s *Server
 	n int
 }
@@ -215,7 +185,7 @@ func (f *burstLoopFrame) Step(m *Machine, ok bool) Status {
 			f.n--
 			f.PC = 1
 			var entered bool
-			if entered, ok = f.s.StartUse(f.t, 0, 1e-3); entered {
+			if entered, ok = f.s.StartUse(f.p, 0, 1e-3); entered {
 				return Park
 			}
 		case 1:
@@ -227,14 +197,14 @@ func (f *burstLoopFrame) Step(m *Machine, ok bool) Status {
 	}
 }
 
-// BenchmarkServerElided measures service elision: a lone inline task
+// BenchmarkServerElided measures service elision: a lone process
 // doing back-to-back bursts on an idle server, where every completion
 // is provably the next event, so each burst runs inline in the task's
 // single turn with no event queued.
 func BenchmarkServerElided(b *testing.B) {
 	k := NewKernel()
 	f := &burstLoopFrame{s: NewServer(k, "cpu"), n: b.N}
-	f.t = k.SpawnInline("bursts", f)
+	f.p = k.Spawn("bursts", f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Drain()
@@ -247,7 +217,7 @@ func BenchmarkServerElided(b *testing.B) {
 // warmStartFrame holds n times, then finishes.
 type warmStartFrame struct {
 	FrameState
-	t Task
+	p *Proc
 	n int
 }
 
@@ -260,7 +230,7 @@ func (f *warmStartFrame) Step(m *Machine, ok bool) Status {
 			}
 			f.n--
 			f.PC = 1
-			if f.t.StartHold(1) {
+			if f.p.StartHold(1) {
 				return Park
 			}
 			ok = false
@@ -275,7 +245,7 @@ func (f *warmStartFrame) Step(m *Machine, ok bool) Status {
 
 // BenchmarkArenaWarmStart measures the replicate start-up pattern the
 // sweep engine repeats thousands of times: build a kernel, spawn a
-// batch of inline processes, run them to completion, tear down. With a
+// batch of processes, run them to completion, tear down. With a
 // per-worker arena the whole cycle — kernel, frames, event pool — runs
 // on memory recycled from the previous replicate, at 0 allocs/op.
 func BenchmarkArenaWarmStart(b *testing.B) {
@@ -287,7 +257,7 @@ func BenchmarkArenaWarmStart(b *testing.B) {
 		for j := 0; j < batch; j++ {
 			f := frames.Alloc()
 			f.n = 4
-			f.t = k.SpawnInline("w", f)
+			f.p = k.Spawn("w", f)
 		}
 		k.Drain()
 		a.Reset()
@@ -300,6 +270,34 @@ func BenchmarkArenaWarmStart(b *testing.B) {
 	}
 }
 
+// gateLoopFrame queues at g with a fixed priority, re-queueing each
+// time it is released, until a wait is interrupted.
+type gateLoopFrame struct {
+	FrameState
+	p    *Proc
+	g    *Gate
+	prio float64
+}
+
+func (f *gateLoopFrame) Step(m *Machine, ok bool) Status {
+	if !ok || !f.g.Enqueue(f.p, f.prio, nil, 0) {
+		return m.Return(false)
+	}
+	return Park
+}
+
+// spawnGateLoops spawns n gateLoopFrame waiters on g, with priorities
+// cycling through 0..3, and runs their spawn turns: everyone queues.
+func spawnGateLoops(k *Kernel, g *Gate, n int) {
+	for i := 0; i < n; i++ {
+		f := &gateLoopFrame{g: g, prio: float64(i % 4)}
+		f.p = k.Spawn("waiter", f)
+	}
+	for i := 0; i < n; i++ {
+		k.Step()
+	}
+}
+
 // BenchmarkGateContention measures the scheduler-queue hot path the CPU
 // and disks run on every dispatch: N queued waiters, the owner scans for
 // the best (lowest Prio, FIFO among ties), releases it, and the released
@@ -308,16 +306,7 @@ func BenchmarkGateContention(b *testing.B) {
 	const nWaiters = 8
 	k := NewKernel()
 	g := NewGate(k, "bench")
-	for i := 0; i < nWaiters; i++ {
-		prio := float64(i % 4)
-		k.Spawn("waiter", func(p *Proc) {
-			for g.Wait(p, prio, nil) {
-			}
-		})
-	}
-	for i := 0; i < nWaiters; i++ {
-		k.Step() // spawn turns: everyone queues
-	}
+	spawnGateLoops(k, g, nWaiters)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -342,16 +331,7 @@ func BenchmarkGateBoundScan(b *testing.B) {
 	const nWaiters = 8
 	k := NewKernel()
 	g := NewGate(k, "bench")
-	for i := 0; i < nWaiters; i++ {
-		prio := float64(i % 4)
-		k.Spawn("waiter", func(p *Proc) {
-			for g.Wait(p, prio, nil) {
-			}
-		})
-	}
-	for i := 0; i < nWaiters; i++ {
-		k.Step() // spawn turns: everyone queues
-	}
+	spawnGateLoops(k, g, nWaiters)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -382,7 +362,7 @@ func BenchmarkDeadlineBacklog(b *testing.B) {
 	const backlog, gap = 40, 1e-3
 	k := NewKernel()
 	comp := k.RegisterCompleter(nopCompleter{})
-	target := k.SpawnInline("finished", &Script{})
+	target := k.Spawn("finished", &Script{})
 	k.Drain()
 	arm := func() {
 		k.AtInterrupt((backlog+0.5)*gap, target)
@@ -453,10 +433,10 @@ func pickBest(g *Gate) *Waiting {
 }
 
 // procsOf snapshots the processes currently queued at g (teardown aid).
-func procsOf(g *Gate) []Task {
-	var out []Task
+func procsOf(g *Gate) []*Proc {
+	var out []*Proc
 	for _, w := range g.Waiters() {
-		out = append(out, w.Task())
+		out = append(out, w.Proc())
 	}
 	return out
 }

@@ -38,33 +38,38 @@
 // NewKernelIn builds the kernel and its queue backings from an Arena —
 // bump-allocated slabs (SlabFor, AllocFrom) that a sweep worker Resets
 // between replicates, so steady-state replicates run entirely on
-// recycled memory.  Inline-process frames and operator scratch are
+// recycled memory.  Processes, their frames and operator scratch are
 // allocated from the same arena by their owners.
 //
-// Processes block with Hold (advance local time), Park (wait for an
-// external Wake), or by queueing on a Server.  Any blocked process can be
-// Interrupted — used by firm real-time deadlines to abort queries — in
-// which case the blocking call reports the interruption so the process
-// can unwind and release resources.  Each representation (goroutine
-// Proc, inline frame machine) arms the same waits through the same
-// taskCore, so the two produce bit-for-bit identical event sequences.
+// Every process is a Proc whose body is a stack of frames (see Frames
+// below), started by Kernel.Spawn.  A process waits by arming one wait
+// and parking: StartHold (advance local time), StartPark (wait for an
+// external Wake), Gate.Enqueue, or Server.StartUse and the resource
+// accesses built on it.  Each Start* call reports whether the wait was
+// entered; if not, it finished within the call and the frame goes on in
+// the same turn.  Any waiting process can be Interrupted — used by firm
+// real-time deadlines to abort queries — in which case the wait's
+// outcome reports the interruption so the process can unwind and
+// release resources.  Script is a ready-made frame for ad-hoc processes
+// in tests and tools.  Outside the partition pool (partition.go), the
+// package starts no goroutine and makes no channel.
 //
 // # Frames
 //
-// An inline process (inline.go) is a stack of frames: resumable
-// activation records with a program counter, stepped by the kernel
-// on its own goroutine. A frame's Step runs until it parks after
-// arming exactly one wait, calls a child with Machine.Call, or returns
-// a result with Machine.Return. The contract has one rule for
-// children: enter a child only when it can block; the child's step 0
-// and its callers share one entry test. A child that per-block loops
-// consult, such as an operator's memory or pacing check, exposes a
-// method reporting whether its step 0 would return true at once,
-// arming no wait and changing no state. Its step 0 calls that method
-// first, and a caller that finds it true continues with ok=true
-// instead of entering. Skipping a child then changes no event, no
-// sequence number and no step count, only the host work of a push,
-// a Step and a pop.
+// A process's frames (inline.go) are resumable activation records with
+// a program counter, stepped by the kernel on its own goroutine: a turn
+// is a call into the top frame, and parking is returning from it. A
+// frame's Step runs until it parks after arming exactly one wait, calls
+// a child with Machine.Call, or returns a result with Machine.Return.
+// The contract has one rule for children: enter a child only when it
+// can block; the child's step 0 and its callers share one entry test.
+// A child that per-block loops consult, such as an operator's memory or
+// pacing check, exposes a method reporting whether its step 0 would
+// return true at once, arming no wait and changing no state. Its step 0
+// calls that method first, and a caller that finds it true continues
+// with ok=true instead of entering. Skipping a child then changes no
+// event, no sequence number and no step count, only the host work of a
+// push, a Step and a pop.
 //
 // # Elision
 //

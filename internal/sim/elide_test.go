@@ -10,7 +10,7 @@ import (
 // burst starts.
 type burstFrame struct {
 	FrameState
-	t       Task
+	p       *Proc
 	s       *Server
 	service float64
 	inTurn  func()
@@ -27,13 +27,13 @@ func (f *burstFrame) Step(m *Machine, ok bool) Status {
 		}
 		f.PC = 1
 		var entered bool
-		if entered, ok = f.s.StartUse(f.t, 0, f.service); entered {
+		if entered, ok = f.s.StartUse(f.p, 0, f.service); entered {
 			return Park
 		}
 		f.elided = ok
 		fallthrough
 	default:
-		f.done, f.ok, f.doneAt = true, ok, f.t.Now()
+		f.done, f.ok, f.doneAt = true, ok, f.p.Now()
 		return m.Return(ok)
 	}
 }
@@ -41,7 +41,7 @@ func (f *burstFrame) Step(m *Machine, ok bool) Status {
 // spawnBurst spawns a process that starts a 2-second burst at time 0.
 func spawnBurst(k *Kernel, inTurn func()) *burstFrame {
 	f := &burstFrame{s: NewServer(k, "cpu"), service: 2, inTurn: inTurn}
-	f.t = k.SpawnInline("burst", f)
+	f.p = k.Spawn("burst", f)
 	return f
 }
 
@@ -134,7 +134,7 @@ func TestElisionPendingLaneNotElided(t *testing.T) {
 func TestElisionPendingInterruptNotElided(t *testing.T) {
 	k := NewKernel()
 	var f *burstFrame
-	f = spawnBurst(k, func() { f.t.Interrupt() })
+	f = spawnBurst(k, func() { f.p.Interrupt() })
 	k.Run(10)
 	if !f.done || f.ok || f.elided || f.doneAt != 0 {
 		t.Fatalf("burst done=%v ok=%v elided=%v at %g, want interrupted at 0",

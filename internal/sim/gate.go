@@ -5,6 +5,10 @@ package sim
 // release, in what order, and whether the release enters an uncancellable
 // service section. The CPU (Server) and the disks are built on Gate.
 //
+// A process queues with Enqueue, which arms its wait without blocking;
+// the process then parks, and the owner's Release or EndService (or an
+// Interrupt) delivers the outcome to its next frame step.
+//
 // The wait queue is an intrusive doubly-linked list threaded through
 // Waiting records embedded in each process (Proc.wait), kept in
 // (Prio, arrival) order: an Earliest-Deadline owner finds its pick at
@@ -18,8 +22,8 @@ package sim
 // service — exactly the window in which owners act on handles.
 //
 // A waiter interrupted while queued is removed from the gate
-// automatically and its Wait call returns false; the owner simply never
-// sees it again when iterating the queue.
+// automatically and resumes with ok=false; the owner simply never sees
+// it again when iterating the queue.
 type Gate struct {
 	k    *Kernel
 	name string
@@ -30,7 +34,7 @@ type Gate struct {
 
 // Waiting is one process queued at a Gate.
 type Waiting struct {
-	task       *taskCore
+	proc       *Proc
 	gate       *Gate
 	next, prev *Waiting
 	seq        uint64
@@ -38,10 +42,10 @@ type Waiting struct {
 	// Earliest Deadline). The gate keeps its queue in (Prio, arrival)
 	// order; owners decide whom to release.
 	Prio float64
-	// Val is a float payload the owner attached via WaitVal (service
-	// times take this lane to avoid boxing them into Data).
+	// Val is a float payload attached at Enqueue (service times take
+	// this lane to avoid boxing them into Data).
 	Val float64
-	// Data is an arbitrary payload the owner attached via Wait.
+	// Data is an arbitrary payload attached at Enqueue.
 	Data any
 
 	removed   bool
@@ -54,8 +58,8 @@ func NewGate(k *Kernel, name string) *Gate {
 	return &Gate{k: k, name: name}
 }
 
-// Task returns the waiting process, whichever representation backs it.
-func (w *Waiting) Task() Task { return w.task.self }
+// Proc returns the waiting process.
+func (w *Waiting) Proc() *Proc { return w.proc }
 
 // Seq returns the arrival sequence number, unique and increasing per gate.
 func (w *Waiting) Seq() uint64 { return w.seq }
@@ -102,7 +106,7 @@ func (g *Gate) remove(w *Waiting) {
 		return
 	}
 	if s := g.k.sink; s != nil {
-		s.WaitEnd(g.k.now, g.name, w.task.tid)
+		s.WaitEnd(g.k.now, g.name, w.proc.tid)
 	}
 	if w.prev != nil {
 		w.prev.next = w.next
@@ -117,15 +121,30 @@ func (g *Gate) remove(w *Waiting) {
 	g.n--
 }
 
-// enqueue links a task's embedded wait record into the queue, after
-// every waiter whose Prio is not higher, and marks its wait cancellable
-// by unlinking. Both the blocking and the inline entry points funnel
-// here, so the two representations queue identically. The record is
-// reset field by field: assigning a whole Waiting literal compiles to a
-// block copy, which showed in CPU profiles of overloaded runs.
-func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
-	w := &c.wait
-	w.task, w.gate = c, g
+// Enqueue queues p at the gate with the given priority and payloads
+// without blocking, and reports whether the wait was entered (false
+// means a pending interrupt consumed it and nothing was queued). On
+// true the caller must park at once — a frame by returning Park with
+// its PC set to the resumption point. The wait ends with ok=true when
+// the owner releases p (Release, or EndService after BeginService), and
+// with ok=false when p is interrupted while queued (the entry is
+// removed) or during a service section (the service completes first).
+func (g *Gate) Enqueue(p *Proc, prio float64, data any, val float64) bool {
+	if p.takePendingInterrupt() {
+		return false
+	}
+	g.enqueue(p, prio, data, val)
+	return true
+}
+
+// enqueue links p's embedded wait record into the queue, after every
+// waiter whose Prio is not higher, and marks its wait cancellable by
+// unlinking. The record is reset field by field: assigning a whole
+// Waiting literal compiles to a block copy, which showed in CPU
+// profiles of overloaded runs.
+func (g *Gate) enqueue(p *Proc, prio float64, data any, val float64) {
+	w := &p.wait
+	w.proc, w.gate = p, g
 	w.seq = g.seq
 	w.Prio, w.Val, w.Data = prio, val, data
 	w.removed, w.inService = false, false
@@ -145,50 +164,10 @@ func (g *Gate) enqueue(c *taskCore, prio float64, data any, val float64) {
 		next.prev = w
 	}
 	g.n++
-	c.cancel = cancelGate
+	p.cancel = cancelGate
 	if s := g.k.sink; s != nil {
-		s.WaitBegin(g.k.now, g.name, c.tid, prio)
+		s.WaitBegin(g.k.now, g.name, p.tid, prio)
 	}
-}
-
-// wait queues the calling process and parks until released.
-func (g *Gate) wait(p *Proc, prio float64, data any, val float64) bool {
-	if p.takePendingInterrupt() {
-		return false
-	}
-	g.enqueue(&p.taskCore, prio, data, val)
-	return p.Await()
-}
-
-// Enqueue is the inline-process counterpart of Wait/WaitVal: it queues t
-// at the gate without blocking and reports whether the wait was entered
-// (false means a pending interrupt consumed it and nothing was queued).
-// On true the caller must park immediately — an inline frame by
-// returning Park with its PC set to the resumption point — and is woken
-// by the owner's Release/EndService or unwound by Interrupt, with the
-// outcome delivered to the next Step exactly as Wait's return value.
-func (g *Gate) Enqueue(t Task, prio float64, data any, val float64) bool {
-	c := t.core()
-	if c.takePendingInterrupt() {
-		return false
-	}
-	g.enqueue(c, prio, data, val)
-	return true
-}
-
-// Wait queues the calling process at the gate with the given priority and
-// payload, then parks. It returns true when released by the owner and
-// false when interrupted while queued (the entry is removed) or
-// interrupted during a service section begun with BeginService (the
-// service completes first).
-func (g *Gate) Wait(p *Proc, prio float64, data any) bool {
-	return g.wait(p, prio, data, 0)
-}
-
-// WaitVal is Wait with a float payload (read back via Waiting.Val); it
-// exists so hot paths need not box numeric payloads into Data.
-func (g *Gate) WaitVal(p *Proc, prio, val float64) bool {
-	return g.wait(p, prio, nil, val)
 }
 
 // Release removes w from the queue and wakes its process. It reports
@@ -198,7 +177,7 @@ func (g *Gate) Release(w *Waiting) bool {
 		return false
 	}
 	g.remove(w)
-	w.task.deliverWake(false)
+	w.proc.deliverWake(false)
 	return true
 }
 
@@ -214,17 +193,17 @@ func (g *Gate) BeginService(w *Waiting) bool {
 	// The process keeps waiting but can no longer be torn out of the
 	// queue: mark its wait uncancellable so interrupts defer to
 	// EndService.
-	w.task.cancel = cancelNone
+	w.proc.cancel = cancelNone
 	return true
 }
 
 // EndService wakes a process whose service section (started with
-// BeginService) has completed. Deferred interrupts are reported by the
-// waiter's Wait call.
+// BeginService) has completed. An interrupt deferred during the section
+// is reported in the wait's outcome.
 func (g *Gate) EndService(w *Waiting) {
 	if !w.inService {
 		panic("sim: EndService without BeginService")
 	}
 	w.inService = false
-	w.task.deliverWake(false)
+	w.proc.deliverWake(false)
 }

@@ -1,36 +1,27 @@
 package sim
 
-// InlineProc is the inline process representation: a resumable state
-// machine the kernel executes directly on its own goroutine. A turn is a
-// function call into the machine's top frame; parking is returning Park
-// from it. There is no goroutine and no channel, which removes the two
-// channel handoffs per turn that dominate the Proc hot path.
+// A process body is a stack of Frames — explicit activation records
+// with a program counter (FrameState) and locals promoted to struct
+// fields — that the kernel steps directly on its own goroutine. A turn
+// is a function call into the top frame; parking is returning Park
+// from it. There is no goroutine and no channel per process.
 //
-// A process body is expressed as a stack of Frames — explicit activation
-// records with a program counter (FrameState) and locals promoted to
-// struct fields. The contract mirrors the blocking API exactly:
+// A frame's Step runs from its program counter until it does one of
+// three things:
 //
-//   - where a Proc body would call p.Hold(dt), a frame calls
-//     StartHold(dt) and, if it reports entered, returns Park after
-//     recording where to resume; the next Step receives ok=false when
-//     the wait was interrupted, exactly like Hold's return value.
-//   - where a body would call a function that can block, a frame calls
-//     m.Call(child) and receives the child's result in ok when the
-//     child returns.
+//   - parks: it arms one wait (Proc.StartHold, Proc.StartPark,
+//     Gate.Enqueue, Server.StartUse, or a resource Start* built on
+//     them), records where to resume, and returns Park when the call
+//     reports the wait entered; the next Step receives ok=false when
+//     the wait was interrupted. A call that reports the wait not
+//     entered finished within the call, and the frame goes on in the
+//     same turn with the ok it reported;
+//   - calls a child: it returns m.Call(child) and receives the child's
+//     result in ok when the child returns;
+//   - returns: it finishes with m.Return(ok).
 //
 // A frame enters a child only when it can block; the child's step 0 and
 // its callers share one entry test (see Frames in the package doc).
-//
-// Because the inline primitives (StartHold, StartPark, Gate.Enqueue,
-// Server.StartUse, and the resource wrappers built on them) share their
-// implementation with the blocking ones, an inline process generates a
-// bit-for-bit identical event sequence to the equivalent goroutine
-// process: same events, same (time, seq) order, same interrupt windows.
-type InlineProc struct {
-	taskCore
-	m       Machine
-	started bool
-}
 
 // Status is what a frame's Step reports to the machine driver.
 type Status int8
@@ -49,12 +40,12 @@ const (
 	Call
 )
 
-// Frame is one resumable activation record of an inline process. Step
-// runs the frame from its current program counter until it parks, calls
-// a child frame, or returns. ok carries the result of whatever completed
-// since the last Step: the child's return value after a Call, or the
-// wake outcome (false = interrupted) after a Park; on first entry it is
-// true and meaningless. Frames embed FrameState, which both stores the
+// Frame is one resumable activation record of a process. Step runs the
+// frame from its current program counter until it parks, calls a child
+// frame, or returns. ok carries the result of whatever completed since
+// the last Step: the child's return value after a Call, or the wake
+// outcome (false = interrupted) after a Park; on first entry it is true
+// and meaningless. Frames embed FrameState, which both stores the
 // program counter and ties the interface to this package's driver.
 type Frame interface {
 	Step(m *Machine, ok bool) Status
@@ -70,7 +61,7 @@ type FrameState struct{ PC int32 }
 
 func (f *FrameState) setPC(pc int32) { f.PC = pc }
 
-// Machine drives an inline process's frame stack.
+// Machine drives a process's frame stack.
 type Machine struct {
 	stack []Frame
 	ret   bool
@@ -94,51 +85,47 @@ func (m *Machine) Return(ok bool) Status {
 	return Ret
 }
 
-// SpawnInline starts an inline process whose body is the given root
-// frame. Like Spawn, the body begins executing at the current simulation
-// time, after already-scheduled events at this time; the process is dead
-// once the root frame returns. On an arena-backed kernel, the process
-// record and its frame stack come from the arena, so replicates after
-// the first spawn allocation-free.
-func (k *Kernel) SpawnInline(name string, root Frame) *InlineProc {
-	var p *InlineProc
+// Spawn starts a process whose body is the given root frame. The body
+// begins executing at the current simulation time, after
+// already-scheduled events at this time; the process is dead once the
+// root frame returns. On an arena-backed kernel, the process record and
+// its frame stack come from the arena, so replicates after the first
+// spawn allocation-free.
+func (k *Kernel) Spawn(name string, root Frame) *Proc {
+	var p *Proc
 	if a := k.arena; a != nil {
-		p = SlabFor[InlineProc](a).Alloc()
+		p = SlabFor[Proc](a).Alloc()
 		st := SlabFor[[8]Frame](a).Alloc()
 		p.m.stack = append(st[:0], root)
 	} else {
-		p = &InlineProc{}
+		p = &Proc{}
 		p.m.stack = append(make([]Frame, 0, 8), root)
 	}
 	p.k = k
 	p.name = name
-	p.self = p
 	p.state = procWakePending
-	p.inline = p
 	root.setPC(0)
-	k.registerTask(&p.taskCore)
+	k.registerTask(p)
 	k.procs++
-	k.schedTurn(&p.taskCore)
+	k.schedTurn(p)
 	return p
 }
 
-// runTurn executes one turn of the state machine: it steps frames until
-// one parks (the process waits for its wake) or the stack empties (the
-// process is dead). The resume bookkeeping mirrors Proc.park's
-// post-resume sequence — consume the armed cancel state, then fold a
-// deferred interrupt into the outcome — except on the very first turn,
-// which is an entry, not the completion of a wait.
-func (p *InlineProc) runTurn() {
+// runTurn executes one turn of the machine: it steps frames until one
+// parks (the process waits for its wake) or the stack empties (the
+// process is dead). A resumed turn first consumes the armed cancel
+// state and folds a deferred interrupt into the wake's outcome; the
+// very first turn is an entry, not the completion of a wait.
+func (p *Proc) runTurn() {
 	p.state = procRunning
 	ok := true
 	if p.started {
 		p.cancel = cancelNone
-		out := p.wakeOutcome
+		ok = !p.wakeInterrupted
 		if p.pendingInterrupt {
-			out.interrupted = true
+			ok = false
 			p.pendingInterrupt = false
 		}
-		ok = !out.interrupted
 	} else {
 		p.started = true
 	}
@@ -176,12 +163,12 @@ func (p *InlineProc) runTurn() {
 	}
 }
 
-// Script is a ready-made Frame for ad-hoc inline processes (tests,
-// tools): a fixed sequence of stages run in order. Each stage must end
-// its turn the way any frame step does — park after arming a wait, call
-// a child frame with m.Call, or finish with m.Return — and the next
-// stage receives the outcome in ok. A script that runs past its last
-// stage returns the last outcome.
+// Script is a ready-made Frame for ad-hoc processes (tests, tools): a
+// fixed sequence of stages run in order. Each stage must end its turn
+// the way any frame step does — park after arming a wait, call a child
+// frame with m.Call, or finish with m.Return — and the next stage
+// receives the outcome in ok. A script that runs past its last stage
+// returns the last outcome.
 type Script struct {
 	FrameState
 	Stages []func(m *Machine, ok bool) Status

@@ -2,11 +2,72 @@ package sim
 
 import "testing"
 
-// holdWakeFrame is the inline counterpart of the BenchmarkHoldWake body:
-// an endless Hold(1) / Park alternation that exits on interrupt.
+// step is one step of a test process written in straight-line form
+// (stepFrame). It runs plain code and may arm one wait, returning what
+// the Start* call reported: entered=true parks the process until the
+// wait ends; entered=false hands res to the next step at once, as the
+// outcome of a wait that finished within the call.
+type step func(p *Proc, ok bool) (entered, res bool)
+
+// stepFrame runs steps in order: the frame form of a body of blocking
+// calls. Each step receives the outcome of the wait before it (true for
+// the first), and the frame returns the last outcome.
+type stepFrame struct {
+	FrameState
+	p     *Proc
+	steps []step
+}
+
+func (f *stepFrame) Step(m *Machine, ok bool) Status {
+	for int(f.PC) < len(f.steps) {
+		s := f.steps[f.PC]
+		f.PC++
+		var entered bool
+		if entered, ok = s(f.p, ok); entered {
+			return Park
+		}
+	}
+	return m.Return(ok)
+}
+
+// spawnSteps spawns a process that runs steps in order.
+func spawnSteps(k *Kernel, name string, steps ...step) *Proc {
+	f := &stepFrame{steps: steps}
+	f.p = k.Spawn(name, f)
+	return f.p
+}
+
+// hold, park, use and enqueue are steps that arm one wait each.
+func hold(dt float64) step {
+	return func(p *Proc, _ bool) (bool, bool) { return p.StartHold(dt), false }
+}
+
+func park() step {
+	return func(p *Proc, _ bool) (bool, bool) { return p.StartPark(), false }
+}
+
+func use(s *Server, prio, service float64) step {
+	return func(p *Proc, _ bool) (bool, bool) { return s.StartUse(p, prio, service) }
+}
+
+func enqueue(g *Gate, prio float64, data any, val float64) step {
+	return func(p *Proc, _ bool) (bool, bool) { return g.Enqueue(p, prio, data, val), false }
+}
+
+// then is a step that runs fn with the outcome of the wait before it
+// and passes that outcome on.
+func then(fn func(p *Proc, ok bool)) step {
+	return func(p *Proc, ok bool) (bool, bool) {
+		fn(p, ok)
+		return false, ok
+	}
+}
+
+// holdWakeFrame alternates a 1-second hold and a plain park until a
+// wait is interrupted.
 type holdWakeFrame struct {
 	FrameState
-	t      Task
+	p      *Proc
 	cycles int
 }
 
@@ -15,7 +76,7 @@ func (f *holdWakeFrame) Step(m *Machine, ok bool) Status {
 		switch f.PC {
 		case 0:
 			f.PC = 1
-			if f.t.StartHold(1) {
+			if f.p.StartHold(1) {
 				return Park
 			}
 			ok = false
@@ -24,7 +85,7 @@ func (f *holdWakeFrame) Step(m *Machine, ok bool) Status {
 				return m.Return(false)
 			}
 			f.PC = 2
-			if f.t.StartPark() {
+			if f.p.StartPark() {
 				return Park
 			}
 			ok = false
@@ -38,72 +99,15 @@ func (f *holdWakeFrame) Step(m *Machine, ok bool) Status {
 	}
 }
 
-// TestInlineMirrorsProc locks the two process representations together:
-// the same hold/park/wake/interrupt scenario, driven step by step on two
-// kernels, must produce identical clocks, step counts and lifecycles.
-func TestInlineMirrorsProc(t *testing.T) {
-	kg := NewKernel()
-	pg := kg.Spawn("gproc", func(p *Proc) {
-		for {
-			if !p.Hold(1) {
-				return
-			}
-			if !p.Park() {
-				return
-			}
-		}
-	})
-	ki := NewKernel()
-	f := &holdWakeFrame{}
-	pi := ki.SpawnInline("iproc", f)
-	f.t = pi
-
-	step := func() {
-		gb, ib := kg.Step(), ki.Step()
-		if gb != ib {
-			t.Fatalf("step availability diverged: proc %v, inline %v", gb, ib)
-		}
-		if kg.Now() != ki.Now() || kg.Steps() != ki.Steps() {
-			t.Fatalf("kernels diverged: proc (t=%g, steps=%d), inline (t=%g, steps=%d)",
-				kg.Now(), kg.Steps(), ki.Now(), ki.Steps())
-		}
-	}
-
-	step() // spawn turn: both park in Hold
-	for i := 0; i < 5; i++ {
-		step() // hold timer fires, wake scheduled
-		step() // resumes, parks in Park
-		pg.Wake()
-		pi.Wake()
-		step() // resumes, parks in Hold again
-	}
-	if f.cycles != 5 {
-		t.Fatalf("inline machine completed %d cycles, want 5", f.cycles)
-	}
-	pg.Interrupt()
-	pi.Interrupt()
-	kg.Drain()
-	ki.Drain()
-	if kg.Steps() != ki.Steps() {
-		t.Fatalf("final steps diverged: proc %d, inline %d", kg.Steps(), ki.Steps())
-	}
-	if !pg.Dead() || !pi.Dead() {
-		t.Fatalf("processes not dead: proc %v, inline %v", pg.Dead(), pi.Dead())
-	}
-	if kg.LiveProcs() != 0 || ki.LiveProcs() != 0 {
-		t.Fatalf("live procs leaked: proc kernel %d, inline kernel %d", kg.LiveProcs(), ki.LiveProcs())
-	}
-}
-
 // TestInlinePendingInterrupt verifies the deferred-interrupt window: an
 // Interrupt delivered while the machine is running (wake pending) must
 // surface at the next blocking point, which is consumed without parking.
 func TestInlinePendingInterrupt(t *testing.T) {
 	k := NewKernel()
 	f := &holdWakeFrame{}
-	p := k.SpawnInline("victim", f)
-	f.t = p
-	k.Step() // spawn turn: parks in Hold(1)
+	p := k.Spawn("victim", f)
+	f.p = p
+	k.Step() // spawn turn: parks in its 1-second hold
 	p.Interrupt()
 	if p.Dead() {
 		t.Fatal("interrupt resumed the process synchronously")
@@ -123,7 +127,7 @@ func TestInlinePendingInterrupt(t *testing.T) {
 // gateWaitFrame queues at a gate once and records the outcome.
 type gateWaitFrame struct {
 	FrameState
-	t    Task
+	p    *Proc
 	g    *Gate
 	prio float64
 	got  bool
@@ -133,7 +137,7 @@ func (f *gateWaitFrame) Step(m *Machine, ok bool) Status {
 	switch f.PC {
 	case 0:
 		f.PC = 1
-		if f.g.Enqueue(f.t, f.prio, nil, 0) {
+		if f.g.Enqueue(f.p, f.prio, nil, 0) {
 			return Park
 		}
 		ok = false
@@ -145,45 +149,46 @@ func (f *gateWaitFrame) Step(m *Machine, ok bool) Status {
 }
 
 // TestInlineGateEnqueue drives gate release and gate interrupt against
-// inline waiters mixed with a goroutine waiter on the same gate.
+// waiters of two frame kinds on one gate: hand-written frames (a, c)
+// and a step list (b).
 func TestInlineGateEnqueue(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "mixed")
 	fa := &gateWaitFrame{g: g, prio: 2}
-	pa := k.SpawnInline("a", fa)
-	fa.t = pa
+	pa := k.Spawn("a", fa)
+	fa.p = pa
 	gotB := false
-	k.Spawn("b", func(p *Proc) { gotB = g.Wait(p, 1, nil) })
+	spawnSteps(k, "b", enqueue(g, 1, nil, 0), then(func(_ *Proc, ok bool) { gotB = ok }))
 	fc := &gateWaitFrame{g: g, prio: 3}
-	pc := k.SpawnInline("c", fc)
-	fc.t = pc
+	pc := k.Spawn("c", fc)
+	fc.p = pc
 	for i := 0; i < 3; i++ {
 		k.Step() // spawn turns: all three queue
 	}
 	if g.Len() != 3 {
 		t.Fatalf("gate len = %d, want 3", g.Len())
 	}
-	// Owner picks the lowest Prio (the goroutine proc), releases it.
+	// Owner picks the lowest Prio (b), releases it.
 	var best *Waiting
 	for w := g.First(); w != nil; w = w.Next() {
 		if best == nil || w.Prio < best.Prio {
 			best = w
 		}
 	}
-	if best.Task().Name() != "b" {
-		t.Fatalf("best waiter = %q, want b", best.Task().Name())
+	if best.Proc().Name() != "b" {
+		t.Fatalf("best waiter = %q, want b", best.Proc().Name())
 	}
 	g.Release(best)
-	// Interrupt one inline waiter while queued: removed, Wait outcome false.
+	// Interrupt one frame waiter while queued: removed, outcome false.
 	pc.Interrupt()
 	k.Drain()
 	if !gotB {
-		t.Fatal("released goroutine waiter did not observe success")
+		t.Fatal("released step-list waiter did not observe success")
 	}
 	if fc.got {
-		t.Fatal("interrupted inline waiter observed success")
+		t.Fatal("interrupted frame waiter observed success")
 	}
-	if g.Len() != 1 || g.First().Task().Name() != "a" {
+	if g.Len() != 1 || g.First().Proc().Name() != "a" {
 		t.Fatalf("gate should still hold only a; len=%d", g.Len())
 	}
 	if pa.Dead() {
@@ -199,7 +204,7 @@ func TestInlineGateEnqueue(t *testing.T) {
 // serverUseFrame runs one StartUse request and records the outcome.
 type serverUseFrame struct {
 	FrameState
-	t       Task
+	p       *Proc
 	s       *Server
 	prio    float64
 	service float64
@@ -211,7 +216,7 @@ func (f *serverUseFrame) Step(m *Machine, ok bool) Status {
 	case 0:
 		f.PC = 1
 		var entered bool
-		if entered, ok = f.s.StartUse(f.t, f.prio, f.service); entered {
+		if entered, ok = f.s.StartUse(f.p, f.prio, f.service); entered {
 			return Park
 		}
 		fallthrough
@@ -222,17 +227,17 @@ func (f *serverUseFrame) Step(m *Machine, ok bool) Status {
 }
 
 // TestInlineServerStartUse exercises the direct and queued service paths
-// with inline requesters and checks busy-time accounting matches the
-// blocking path's semantics.
+// and checks busy-time accounting: 3 s served directly, then 2 s from
+// the queue.
 func TestInlineServerStartUse(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "srv")
 	fa := &serverUseFrame{s: s, prio: 2, service: 3}
-	pa := k.SpawnInline("a", fa)
-	fa.t = pa
+	pa := k.Spawn("a", fa)
+	fa.p = pa
 	fb := &serverUseFrame{s: s, prio: 1, service: 2}
-	pb := k.SpawnInline("b", fb)
-	fb.t = pb
+	pb := k.Spawn("b", fb)
+	fb.p = pb
 	k.Drain()
 	if !fa.got || !fb.got {
 		t.Fatalf("service outcomes = %v, %v; want true, true", fa.got, fb.got)
@@ -250,7 +255,7 @@ func TestInlineServerStartUse(t *testing.T) {
 // reuse (the child's PC is reset by each Call).
 type childFrame struct {
 	FrameState
-	t Task
+	p *Proc
 	n int
 }
 
@@ -258,7 +263,7 @@ func (f *childFrame) Step(m *Machine, ok bool) Status {
 	switch f.PC {
 	case 0:
 		f.PC = 1
-		if f.t.StartHold(1) {
+		if f.p.StartHold(1) {
 			return Park
 		}
 		ok = false
@@ -302,8 +307,8 @@ func TestInlineCallStack(t *testing.T) {
 	k := NewKernel()
 	child := &childFrame{}
 	parent := &parentFrame{child: child}
-	p := k.SpawnInline("nested", parent)
-	child.t = p
+	p := k.Spawn("nested", parent)
+	child.p = p
 	k.Drain()
 	if !p.Dead() {
 		t.Fatal("process did not finish")

@@ -49,7 +49,8 @@ type eventSlot struct {
 const (
 	// evClosure runs a user-supplied func(): the Kernel.At escape hatch.
 	evClosure uint8 = iota
-	// evTurn runs one turn of the task in arg (zero-delay resume).
+	// evTurn runs one turn of a process (zero-delay resume). Turns only
+	// ever enter the lane, whose entry carries the task id (laneItem).
 	evTurn
 	// evWake delivers a hold's timed wake to the parked task in arg.
 	evWake
@@ -131,7 +132,7 @@ func (t *Timer) Stop() bool {
 
 // stopEvent cancels the pending event identified by (id, seq),
 // reporting whether it had not yet fired. It backs both Timer.Stop and
-// the pointer-free hold-wake handle in taskCore.
+// the pointer-free hold-wake handle in Proc.
 func (k *Kernel) stopEvent(id int32, seq uint64) bool {
 	s := &k.slots[id]
 	if s.seq != seq {
@@ -168,7 +169,7 @@ type Kernel struct {
 	// events (deadline aborts) may outlive their process, and an id reuse
 	// would mis-target them — but a kernel only ever registers as many
 	// tasks as it spawns processes, so growth is bounded and tiny.
-	tasks []*taskCore
+	tasks []*Proc
 	comps []Completer
 
 	// sink, when non-nil, observes every dispatched event, timer
@@ -231,8 +232,8 @@ func (k *Kernel) Arena() *Arena { return k.arena }
 func (k *Kernel) SetSink(s trace.Sink) {
 	k.sink = s
 	if s != nil {
-		for _, c := range k.tasks {
-			s.TaskName(c.tid, c.name)
+		for _, p := range k.tasks {
+			s.TaskName(p.tid, p.name)
 		}
 	}
 }
@@ -240,13 +241,13 @@ func (k *Kernel) SetSink(s trace.Sink) {
 // Sink returns the attached trace sink, or nil.
 func (k *Kernel) Sink() trace.Sink { return k.sink }
 
-// registerTask assigns a task its kernel-local id, the payload typed
+// registerTask assigns a process its kernel-local id, the payload typed
 // events carry instead of a pointer.
-func (k *Kernel) registerTask(c *taskCore) {
-	c.tid = int32(len(k.tasks))
-	k.tasks = append(k.tasks, c)
+func (k *Kernel) registerTask(p *Proc) {
+	p.tid = int32(len(k.tasks))
+	k.tasks = append(k.tasks, p)
 	if k.sink != nil {
-		k.sink.TaskName(c.tid, c.name)
+		k.sink.TaskName(p.tid, p.name)
 	}
 }
 
@@ -367,44 +368,44 @@ func checkDelay(delay float64) {
 	}
 }
 
-// schedTurn schedules a zero-delay turn for a task. Turns cannot be
+// schedTurn schedules a zero-delay turn for a process. Turns cannot be
 // cancelled, so they are slot-free: the lane entry itself is the whole
 // event record, and scheduling one touches no slot at all. The body is
-// small enough to inline into deliverWake and the spawn paths.
-func (k *Kernel) schedTurn(c *taskCore) {
+// small enough to inline into deliverWake and Spawn.
+func (k *Kernel) schedTurn(p *Proc) {
 	seq := k.seq
 	k.seq++
-	k.lane = append(k.lane, laneItem{seq: seq, id: c.tid, kind: evTurn})
+	k.lane = append(k.lane, laneItem{seq: seq, id: p.tid, kind: evTurn})
 }
 
 // schedWake arms the timed wake of a hold: deliverWake(false) on the
-// task after delay. It returns the (slot, seq) pair identifying the
+// process after delay. It returns the (slot, seq) pair identifying the
 // event — the hold's cancel handle, pointer-free so storing it in the
-// task core crosses no write barrier.
-func (k *Kernel) schedWake(delay float64, c *taskCore) (int32, uint64) {
-	id, s, seq := k.newSlot(evWake, c.tid)
+// process crosses no write barrier.
+func (k *Kernel) schedWake(delay float64, p *Proc) (int32, uint64) {
+	id, s, seq := k.newSlot(evWake, p.tid)
 	k.sched(delay, id, s, seq)
 	return id, seq
 }
 
-// AtWake schedules t.Wake() after delay simulated seconds: a timed
-// nudge that resumes the task only if it still sits in a plain park
+// AtWake schedules p.Wake() after delay simulated seconds: a timed
+// nudge that resumes the process only if it still sits in a plain park
 // (pacing urgency timers). A negative or NaN delay panics.
-func (k *Kernel) AtWake(delay float64, t Task) Timer {
+func (k *Kernel) AtWake(delay float64, p *Proc) Timer {
 	checkDelay(delay)
-	id, s, seq := k.newSlot(evParkWake, t.core().tid)
+	id, s, seq := k.newSlot(evParkWake, p.tid)
 	k.sched(delay, id, s, seq)
 	return Timer{k: k, id: id, seq: seq}
 }
 
-// AtInterrupt schedules t.Interrupt() after delay simulated seconds
+// AtInterrupt schedules p.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
 // so the timer may safely outlive its target. A positive delay files
 // the event in the deadline heap, apart from the kernel's other timed
 // events. A negative or NaN delay panics.
-func (k *Kernel) AtInterrupt(delay float64, t Task) Timer {
+func (k *Kernel) AtInterrupt(delay float64, p *Proc) Timer {
 	checkDelay(delay)
-	id, s, seq := k.newSlot(evInterrupt, t.core().tid)
+	id, s, seq := k.newSlot(evInterrupt, p.tid)
 	if delay == 0 {
 		k.sched(0, id, s, seq)
 	} else {
@@ -428,7 +429,7 @@ func (k *Kernel) AtComplete(delay float64, comp int32, direct bool) {
 }
 
 // Ride is the handle of a caller parked on a direct service completion
-// by AtCompleteRide: the task and the sequence number reserved for its
+// by AtCompleteRide: the process and the sequence number reserved for its
 // wake. It holds no pointer. No armed ride carries sequence number 0
 // (the completion it rides on takes an earlier one), so the zero Ride
 // delivers nothing.
@@ -438,8 +439,8 @@ type Ride struct {
 }
 
 // AtCompleteRide schedules a direct service completion, exactly as
-// AtComplete(delay, comp, true), and parks t until it fires. It stands
-// in for AtComplete followed by t.StartHold(delay). That hold's wake
+// AtComplete(delay, comp, true), and parks p until it fires. It stands
+// in for AtComplete followed by p.StartHold(delay). That hold's wake
 // would fire at the same time with the very next sequence number, so no
 // event could ever come between the two. The completion therefore
 // delivers the wake itself, via DeliverRide, and no second event is
@@ -448,31 +449,30 @@ type Ride struct {
 // sink as a cancel, as stopping the hold timer would. entered is false
 // when a pending interrupt consumed the wait; the completion is
 // scheduled either way.
-func (k *Kernel) AtCompleteRide(delay float64, comp int32, t Task) (r Ride, entered bool) {
+func (k *Kernel) AtCompleteRide(delay float64, comp int32, p *Proc) (r Ride, entered bool) {
 	k.AtComplete(delay, comp, true)
-	c := t.core()
-	if !c.startRide() {
+	if !p.startRide() {
 		return Ride{}, false
 	}
-	return Ride{seq: c.holdSeq, tid: c.tid}, true
+	return Ride{seq: p.holdSeq, tid: p.tid}, true
 }
 
 // DeliverRide delivers the wake of ride r if its hold is still armed:
-// the task sits in that very ride (same kind, same sequence number).
+// the process sits in that very ride (same kind, same sequence number).
 // The wake counts as a step and reaches the sink as the same evWake
 // dispatch the timed wake event would have produced. A ride whose wait
 // an interrupt ended delivers nothing. Completers call it after their
 // own completion effects, where the wake event would have fired.
 func (k *Kernel) DeliverRide(r Ride) {
-	c := k.tasks[r.tid]
-	if c.state != procParked || c.cancel != cancelRide || c.holdSeq != r.seq {
+	p := k.tasks[r.tid]
+	if p.state != procParked || p.cancel != cancelRide || p.holdSeq != r.seq {
 		return
 	}
 	k.steps++
 	if k.sink != nil {
 		k.sink.Dispatch(k.now, r.seq, evWake, r.tid)
 	}
-	c.deliverWake(false)
+	p.deliverWake(false)
 }
 
 // skipStaleLane advances past cancelled entries at the lane head,
@@ -552,12 +552,7 @@ func (k *Kernel) step(until float64) bool {
 				if k.sink != nil {
 					k.sink.Dispatch(k.now, l.seq, evTurn, l.id)
 				}
-				c := k.tasks[l.id]
-				if p := c.inline; p != nil {
-					p.runTurn()
-				} else {
-					c.turnFn()
-				}
+				k.tasks[l.id].runTurn()
 				return true
 			}
 			id = l.id
@@ -580,13 +575,6 @@ func (k *Kernel) step(until float64) bool {
 	k.freeSlot(id, s)
 	k.steps++
 	switch arg := karg >> 3; uint8(karg & 7) {
-	case evTurn:
-		c := k.tasks[arg]
-		if p := c.inline; p != nil {
-			p.runTurn()
-		} else {
-			c.turnFn()
-		}
 	case evWake:
 		k.tasks[arg].deliverWake(false)
 	case evClosure:

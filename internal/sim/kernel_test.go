@@ -202,7 +202,7 @@ func TestNestedScheduling(t *testing.T) {
 // the queue's order.
 func TestNegativeDelayPanics(t *testing.T) {
 	k := NewKernel()
-	task := k.SpawnInline("t", &warmStartFrame{})
+	task := k.Spawn("t", &warmStartFrame{})
 	srv := NewServer(k, "cpu")
 	entries := []struct {
 		name string
@@ -232,14 +232,16 @@ func TestNegativeDelayPanics(t *testing.T) {
 func TestHoldAdvancesTime(t *testing.T) {
 	k := NewKernel()
 	var at []float64
-	k.Spawn("holder", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			if !p.Hold(1.5) {
+	var steps []step
+	for i := 0; i < 3; i++ {
+		steps = append(steps, hold(1.5), then(func(p *Proc, ok bool) {
+			if !ok {
 				t.Error("unexpected interrupt")
 			}
 			at = append(at, p.Now())
-		}
-	})
+		}))
+	}
+	spawnSteps(k, "holder", steps...)
 	k.Drain()
 	want := []float64{1.5, 3.0, 4.5}
 	for i := range want {
@@ -256,18 +258,15 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 	run := func() []string {
 		k := NewKernel()
 		var trace []string
-		k.Spawn("a", func(p *Proc) {
+		holds := func(dt float64, name string) []step {
+			var steps []step
 			for i := 0; i < 3; i++ {
-				p.Hold(2)
-				trace = append(trace, "a")
+				steps = append(steps, hold(dt), then(func(*Proc, bool) { trace = append(trace, name) }))
 			}
-		})
-		k.Spawn("b", func(p *Proc) {
-			for i := 0; i < 3; i++ {
-				p.Hold(3)
-				trace = append(trace, "b")
-			}
-		})
+			return steps
+		}
+		spawnSteps(k, "a", holds(2, "a")...)
+		spawnSteps(k, "b", holds(3, "b")...)
 		k.Drain()
 		return trace
 	}
@@ -284,14 +283,13 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 
 func TestParkWake(t *testing.T) {
 	k := NewKernel()
-	var p *Proc
 	woke := false
-	p = k.Spawn("sleeper", func(p *Proc) {
-		if !p.Park() {
+	p := spawnSteps(k, "sleeper", park(), then(func(_ *Proc, ok bool) {
+		if !ok {
 			t.Error("park reported interrupt")
 		}
 		woke = true
-	})
+	}))
 	k.At(5, func() { p.Wake() })
 	k.Drain()
 	if !woke {
@@ -305,12 +303,12 @@ func TestParkWake(t *testing.T) {
 func TestInterruptDuringHold(t *testing.T) {
 	k := NewKernel()
 	var interruptedAt float64 = -1
-	p := k.Spawn("victim", func(p *Proc) {
-		if p.Hold(100) {
+	p := spawnSteps(k, "victim", hold(100), then(func(p *Proc, ok bool) {
+		if ok {
 			t.Error("hold should have been interrupted")
 		}
 		interruptedAt = p.Now()
-	})
+	}))
 	k.At(7, func() { p.Interrupt() })
 	k.Drain()
 	if interruptedAt != 7 {
@@ -321,7 +319,7 @@ func TestInterruptDuringHold(t *testing.T) {
 func TestInterruptDuringPark(t *testing.T) {
 	k := NewKernel()
 	got := make(chan bool, 1)
-	p := k.Spawn("victim", func(p *Proc) { got <- p.Park() })
+	p := spawnSteps(k, "victim", park(), then(func(_ *Proc, ok bool) { got <- ok }))
 	k.At(1, func() { p.Interrupt() })
 	k.Drain()
 	if ok := <-got; ok {
@@ -331,7 +329,7 @@ func TestInterruptDuringPark(t *testing.T) {
 
 func TestInterruptDeadProcIsNoop(t *testing.T) {
 	k := NewKernel()
-	p := k.Spawn("quick", func(p *Proc) {})
+	p := k.Spawn("quick", &Script{})
 	k.Drain()
 	if !p.Dead() {
 		t.Fatal("process should be dead")
@@ -343,10 +341,7 @@ func TestInterruptDeadProcIsNoop(t *testing.T) {
 func TestWakeDoubleDeliverOnce(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	p := k.Spawn("sleeper", func(p *Proc) {
-		p.Park()
-		count++
-	})
+	p := spawnSteps(k, "sleeper", park(), then(func(*Proc, bool) { count++ }))
 	k.At(1, func() { p.Wake(); p.Wake() })
 	k.Drain()
 	if count != 1 {
@@ -357,12 +352,12 @@ func TestWakeDoubleDeliverOnce(t *testing.T) {
 func TestWakeDoesNotDisturbHold(t *testing.T) {
 	k := NewKernel()
 	var resumedAt float64
-	p := k.Spawn("sleeper", func(p *Proc) {
-		if !p.Hold(10) {
+	p := spawnSteps(k, "sleeper", hold(10), then(func(p *Proc, ok bool) {
+		if !ok {
 			t.Error("hold interrupted unexpectedly")
 		}
 		resumedAt = p.Now()
-	})
+	}))
 	k.At(1, func() { p.Wake() }) // must be a no-op: Wake only ends Park
 	k.Drain()
 	if resumedAt != 10 {
@@ -370,29 +365,18 @@ func TestWakeDoesNotDisturbHold(t *testing.T) {
 	}
 }
 
-func TestProcPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("process panic did not propagate to kernel")
-		}
-	}()
-	k := NewKernel()
-	k.Spawn("bomb", func(p *Proc) { panic("boom") })
-	k.Drain()
-}
-
 func TestInterruptWhileRunningDefersToNextBlock(t *testing.T) {
 	k := NewKernel()
 	var first, second bool
-	var p *Proc
-	p = k.Spawn("self", func(p *Proc) {
-		p.Hold(1)
+	spawnSteps(k, "self",
+		hold(1),
 		// Interrupt arrives while running (delivered synchronously here).
-		p.Interrupt()
-		first = p.Hold(1)  // should consume the pending interrupt
-		second = p.Hold(1) // should proceed normally
-	})
-	_ = p
+		then(func(p *Proc, _ bool) { p.Interrupt() }),
+		hold(1), // should consume the pending interrupt
+		then(func(_ *Proc, ok bool) { first = ok }),
+		hold(1), // should proceed normally
+		then(func(_ *Proc, ok bool) { second = ok }),
+	)
 	k.Drain()
 	if first {
 		t.Fatal("pending interrupt not delivered at next blocking point")

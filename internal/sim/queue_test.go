@@ -341,7 +341,7 @@ func FuzzTimedQueue(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		k := NewKernel()
-		target := k.SpawnInline("target", &Script{})
+		target := k.Spawn("target", &Script{})
 		k.Drain() // the target finishes in its spawn turn
 		type event struct {
 			at    float64

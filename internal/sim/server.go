@@ -6,6 +6,10 @@ package sim
 // uncancellable once started; interrupts delivered mid-service surface
 // after the request completes. The simulated CPU is a Server.
 //
+// A process requests service with StartUse, which arms its wait (a
+// direct serve on an idle server, or a queue entry) without blocking;
+// the process then parks until the completion wakes it.
+//
 // The service hot path is allocation-free and closure-free: completions
 // are typed kernel events (AtComplete) addressing the server by its
 // registered completer id, and the in-flight request is carried in
@@ -22,18 +26,14 @@ package sim
 // whose completion Kernel.Elide proves to be the next event skips both
 // events: StartUse frees the server inline and the caller continues in
 // the same turn.
-//
-// Both process representations share one implementation: StartUse arms
-// the wait (service timer or queue entry) for any Task, and the blocking
-// Use is StartUse plus a goroutine park.
 type Server struct {
 	k     *Kernel
 	gate  *Gate
 	meter *BusyMeter
 	busy  bool
 
-	cur    *Waiting  // queued entry currently in service
-	direct *taskCore // caller of an idle-server direct serve
+	cur    *Waiting // queued entry currently in service
+	direct *Proc    // caller of an idle-server direct serve
 
 	compID int32 // completer id AtComplete addresses this server by
 }
@@ -60,39 +60,29 @@ func (s *Server) Meter() *BusyMeter { return s.meter }
 // QueueLen returns the number of queued (not in-service) requests.
 func (s *Server) QueueLen() int { return s.gate.Len() }
 
-// Use blocks the calling process until it has exclusively held the server
-// for service seconds. Lower prio values are served first. It returns
-// false if the process was interrupted — before service started (no time
-// consumed) or during it (service completed, then the interruption is
-// reported).
-func (s *Server) Use(p *Proc, prio float64, service float64) bool {
-	if entered, ok := s.StartUse(p, prio, service); !entered {
-		return ok
-	}
-	return p.Await()
-}
-
-// StartUse is the inline-process counterpart of Use: it enters the
-// request — starting service immediately on an idle server, queueing
-// otherwise — without blocking. entered=true means the wait was entered:
-// the caller must park immediately, and the completion outcome arrives
-// at its next Step exactly as Use's return value. entered=false means
-// the request finished within the call with result ok: true when the
-// service was elided (its completion was the next event, so the clock
-// already stands at its end), false when a pending interrupt consumed
-// the wait (if service had already started it still completes on the
-// server's timeline).
-func (s *Server) StartUse(t Task, prio float64, service float64) (entered, ok bool) {
+// StartUse requests service seconds of exclusive use of the server for
+// p at priority prio (lower is served first) — starting service
+// immediately on an idle server, queueing otherwise — without blocking.
+// entered=true means the wait was entered: the caller must park
+// immediately, and the outcome arrives at its next Step: true when the
+// service completed, false when p was interrupted before service
+// started (no time consumed) or during it (the service completed, then
+// the interruption is reported). entered=false means the request
+// finished within the call with result ok: true when the service was
+// elided (its completion was the next event, so the clock already
+// stands at its end), false when a pending interrupt consumed the wait
+// (if service had already started it still completes on the server's
+// timeline).
+func (s *Server) StartUse(p *Proc, prio float64, service float64) (entered, ok bool) {
 	if !(service >= 0) {
 		panic("sim: negative or NaN service time")
 	}
-	c := t.core()
 	if !s.busy {
 		// Fast path: idle server, start service immediately, parking the
 		// caller uncancellably for the service duration.
 		s.busy = true
 		s.meter.SetBusy(true)
-		if c.takePendingInterrupt() {
+		if p.takePendingInterrupt() {
 			s.finish()
 			return false, false
 		}
@@ -101,27 +91,27 @@ func (s *Server) StartUse(t Task, prio float64, service float64) (entered, ok bo
 			s.finish()
 			return false, true
 		}
-		c.cancel = cancelNone
-		s.direct = c
+		p.cancel = cancelNone
+		s.direct = p
 		s.k.AtComplete(service, s.compID, true)
 		return true, false
 	}
-	if c.takePendingInterrupt() {
+	if p.takePendingInterrupt() {
 		return false, false
 	}
 	// On a normal release the dispatcher has already accounted for the
 	// service; the wake is the completion signal.
-	s.gate.enqueue(c, prio, nil, service)
+	s.gate.enqueue(p, prio, nil, service)
 	return true, false
 }
 
 // completeDirect ends a direct serve: the server is freed (dispatching
 // the next queued request) before the served caller's wake is scheduled.
 func (s *Server) completeDirect() {
-	c := s.direct
+	p := s.direct
 	s.direct = nil
 	s.finish()
-	c.deliverWake(false)
+	p.deliverWake(false)
 }
 
 // finish marks the server idle and dispatches the next queued request.

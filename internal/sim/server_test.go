@@ -11,10 +11,7 @@ func TestServerSerialService(t *testing.T) {
 	s := NewServer(k, "cpu")
 	var done []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("user", func(p *Proc) {
-			s.Use(p, 0, 2)
-			done = append(done, p.Now())
-		})
+		spawnSteps(k, "user", use(s, 0, 2), then(func(p *Proc, _ bool) { done = append(done, p.Now()) }))
 	}
 	k.Drain()
 	want := []float64{2, 4, 6}
@@ -32,20 +29,14 @@ func TestServerPriorityOrder(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var order []string
+	record := func(name string) step {
+		return then(func(*Proc, bool) { order = append(order, name) })
+	}
 	// Occupy the server first so the others queue.
-	k.Spawn("first", func(p *Proc) {
-		s.Use(p, 5, 10)
-		order = append(order, "first")
-	})
+	spawnSteps(k, "first", use(s, 5, 10), record("first"))
 	k.At(1, func() {
-		k.Spawn("low", func(p *Proc) {
-			s.Use(p, 9, 1)
-			order = append(order, "low")
-		})
-		k.Spawn("high", func(p *Proc) {
-			s.Use(p, 1, 1)
-			order = append(order, "high")
-		})
+		spawnSteps(k, "low", use(s, 9, 1), record("low"))
+		spawnSteps(k, "high", use(s, 1, 1), record("high"))
 	})
 	k.Drain()
 	if len(order) != 3 || order[0] != "first" || order[1] != "high" || order[2] != "low" {
@@ -57,14 +48,11 @@ func TestServerFIFOAmongEqualPriority(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
 	var order []int
-	k.Spawn("occupier", func(p *Proc) { s.Use(p, 0, 5) })
+	spawnSteps(k, "occupier", use(s, 0, 5))
 	k.At(1, func() {
 		for i := 0; i < 4; i++ {
 			i := i
-			k.Spawn("eq", func(p *Proc) {
-				s.Use(p, 7, 1)
-				order = append(order, i)
-			})
+			spawnSteps(k, "eq", use(s, 7, 1), then(func(*Proc, bool) { order = append(order, i) }))
 		}
 	})
 	k.Drain()
@@ -78,12 +66,9 @@ func TestServerFIFOAmongEqualPriority(t *testing.T) {
 func TestServerInterruptWhileQueued(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
-	k.Spawn("occupier", func(p *Proc) { s.Use(p, 0, 100) })
+	spawnSteps(k, "occupier", use(s, 0, 100))
 	var gotOK *bool
-	victim := k.Spawn("victim", func(p *Proc) {
-		ok := s.Use(p, 1, 10)
-		gotOK = &ok
-	})
+	victim := spawnSteps(k, "victim", use(s, 1, 10), then(func(_ *Proc, ok bool) { gotOK = &ok }))
 	k.At(5, func() { victim.Interrupt() })
 	k.Run(20)
 	if gotOK == nil {
@@ -102,10 +87,10 @@ func TestServerInterruptDuringServiceCompletesFirst(t *testing.T) {
 	s := NewServer(k, "cpu")
 	var finishedAt float64
 	var ok bool
-	victim := k.Spawn("victim", func(p *Proc) {
-		ok = s.Use(p, 0, 10)
+	victim := spawnSteps(k, "victim", use(s, 0, 10), then(func(p *Proc, got bool) {
+		ok = got
 		finishedAt = p.Now()
-	})
+	}))
 	k.At(3, func() { victim.Interrupt() })
 	k.Drain()
 	if ok {
@@ -119,16 +104,14 @@ func TestServerInterruptDuringServiceCompletesFirst(t *testing.T) {
 func TestServerUtilizationWindow(t *testing.T) {
 	k := NewKernel()
 	s := NewServer(k, "cpu")
-	k.Spawn("u", func(p *Proc) {
-		s.Use(p, 0, 4)
-	})
+	spawnSteps(k, "u", use(s, 0, 4))
 	k.Run(8)
 	if got := s.Meter().Utilization(0, 0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("utilization %g, want 0.5", got)
 	}
 	// Window starting at t=8 with a 2-second service in [8,10], to 12.
 	start, busy0 := k.Now(), s.Meter().BusyTime()
-	k.Spawn("u2", func(p *Proc) { s.Use(p, 0, 2) })
+	spawnSteps(k, "u2", use(s, 0, 2))
 	k.Run(12)
 	if got := s.Meter().Utilization(start, busy0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("windowed utilization %g, want 0.5", got)
@@ -141,11 +124,11 @@ func TestGateReleaseSpecificWaiter(t *testing.T) {
 	var admitted []int
 	for i := 0; i < 3; i++ {
 		i := i
-		k.Spawn("w", func(p *Proc) {
-			if g.Wait(p, float64(i), i) {
+		spawnSteps(k, "w", enqueue(g, float64(i), i, 0), then(func(_ *Proc, ok bool) {
+			if ok {
 				admitted = append(admitted, i)
 			}
-		})
+		}))
 	}
 	k.At(1, func() {
 		// Admit waiter with Data==1 first, then 0, leave 2 waiting.
@@ -172,11 +155,11 @@ func TestGateReleaseSpecificWaiter(t *testing.T) {
 func TestGateInterruptRemovesWaiter(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
-	p := k.Spawn("w", func(p *Proc) {
-		if g.Wait(p, 0, nil) {
+	p := spawnSteps(k, "w", enqueue(g, 0, nil, 0), then(func(_ *Proc, ok bool) {
+		if ok {
 			t.Error("wait should report interruption")
 		}
-	})
+	}))
 	k.At(1, func() { p.Interrupt() })
 	k.Run(5)
 	if g.Len() != 0 {
@@ -187,7 +170,7 @@ func TestGateInterruptRemovesWaiter(t *testing.T) {
 func TestGateStaleHandleIgnored(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "adm")
-	p := k.Spawn("w", func(p *Proc) { g.Wait(p, 0, nil) })
+	p := spawnSteps(k, "w", enqueue(g, 0, nil, 0))
 	var handle *Waiting
 	k.At(1, func() {
 		handle = g.Waiters()[0]
@@ -209,7 +192,7 @@ func TestGateIterationArrivalOrder(t *testing.T) {
 	g := NewGate(k, "adm")
 	for i := 0; i < 4; i++ {
 		i := i
-		k.Spawn("w", func(p *Proc) { g.WaitVal(p, 0, float64(i)) })
+		spawnSteps(k, "w", enqueue(g, 0, nil, float64(i)))
 	}
 	k.At(1, func() {
 		var got []float64
@@ -250,7 +233,7 @@ func TestGatePrioOrder(t *testing.T) {
 	var procs []*Proc
 	arrive := func(prio float64) {
 		id := float64(len(procs))
-		procs = append(procs, k.Spawn("w", func(p *Proc) { g.WaitVal(p, prio, id) }))
+		procs = append(procs, spawnSteps(k, "w", enqueue(g, prio, nil, id)))
 	}
 	for _, prio := range []float64{3, 1, 2, 1, 0, 3, 2, 1} {
 		arrive(prio)
@@ -299,19 +282,43 @@ func TestGatePrioOrder(t *testing.T) {
 	}
 }
 
+// roundsFrame queues at g once per round for rounds 0, 1 and 2, with
+// the round as priority and payload, and stops at the first
+// interrupted wait.
+type roundsFrame struct {
+	FrameState
+	p      *Proc
+	g      *Gate
+	rounds *int
+}
+
+func (f *roundsFrame) Step(m *Machine, ok bool) Status {
+	switch {
+	case f.PC == 0:
+		f.PC = 1
+		*f.rounds = 0
+	case !ok:
+		return m.Return(false)
+	default:
+		*f.rounds++
+	}
+	if *f.rounds == 3 {
+		return m.Return(true)
+	}
+	if f.g.Enqueue(f.p, float64(*f.rounds), *f.rounds, 0) {
+		return Park
+	}
+	return m.Return(false)
+}
+
 func TestGateEntryRecycledAcrossWaits(t *testing.T) {
 	// A process's embedded wait entry is reused wait after wait; each
 	// re-queue must present fresh seq/payload and wire into the list.
 	k := NewKernel()
 	g := NewGate(k, "adm")
 	var rounds int
-	k.Spawn("w", func(p *Proc) {
-		for rounds = 0; rounds < 3; rounds++ {
-			if !g.Wait(p, float64(rounds), rounds) {
-				return
-			}
-		}
-	})
+	f := &roundsFrame{g: g, rounds: &rounds}
+	f.p = k.Spawn("w", f)
 	var seqs []uint64
 	release := func() {
 		w := g.First()
@@ -342,10 +349,10 @@ func TestGateServiceSection(t *testing.T) {
 	g := NewGate(k, "disk")
 	var ok bool
 	var at float64
-	p := k.Spawn("w", func(p *Proc) {
-		ok = g.Wait(p, 0, nil)
+	p := spawnSteps(k, "w", enqueue(g, 0, nil, 0), then(func(p *Proc, got bool) {
+		ok = got
 		at = p.Now()
-	})
+	}))
 	k.At(1, func() {
 		w := g.Waiters()[0]
 		g.BeginService(w)

@@ -18,8 +18,8 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	k := NewKernel()
 	k.SetSink(nil)
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
-	f.t = p
+	p := k.Spawn("dispatch", f)
+	f.p = p
 	k.Step() // spawn turn: machine parks in its hold
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,8 +41,8 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	c := trace.NewCollector()
 	k.SetSink(c)
 	f := &holdOnlyFrame{}
-	p := k.SpawnInline("dispatch", f)
-	f.t = p
+	p := k.Spawn("dispatch", f)
+	f.p = p
 	k.Step() // spawn turn: machine parks in its hold
 	for i := 0; i < 256; i++ {
 		k.Step()
