@@ -305,24 +305,6 @@ func BenchmarkSec57_Scalability(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPacing compares deadline-driven pacing of
-// minimum-allocation queries (off by default) against eager processing.
-func BenchmarkAblationPacing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eager := baselineAt(pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 0.06, int64(i+1))
-		paced := eager
-		paced.PaceFactor = 1.0
-		re := runBench(b, eager)
-		rp := runBench(b, paced)
-		if i == 0 {
-			missMetric(b, "eager", re)
-			missMetric(b, "paced", rp)
-			b.ReportMetric(re.AvgIOAmplification, "eager_ioamp")
-			b.ReportMetric(rp.AvgIOAmplification, "paced_ioamp")
-		}
-	}
-}
-
 // BenchmarkAblationBlockIO compares the default 6-page prefetch block
 // against single-page I/O, isolating the value of the disk cache.
 func BenchmarkAblationBlockIO(b *testing.B) {

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -83,6 +84,33 @@ func main() {
 		stopProfile()
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+
+	// Malformed flags fail here, before any experiment runs: each would
+	// otherwise fall back to a default and print a normal report.
+	if *reps < 1 {
+		fail(fmt.Errorf("-reps must be at least 1, got %d", *reps))
+	}
+	if *workers < 0 {
+		fail(fmt.Errorf("-workers must be non-negative (0 = GOMAXPROCS), got %d", *workers))
+	}
+	if !(*horizon >= 0) || math.IsInf(*horizon, 1) {
+		fail(fmt.Errorf("-horizon must be a finite non-negative number of simulated seconds (0 = defaults), got %g", *horizon))
+	}
+	if !(*prec >= 0) || math.IsInf(*prec, 1) {
+		fail(fmt.Errorf("-precision must be a finite non-negative fraction (0 = fixed -reps), got %g", *prec))
+	}
+	if *maxReps < 1 {
+		fail(fmt.Errorf("-max-reps must be at least 1, got %d", *maxReps))
+	}
+	if *tenants < 0 {
+		fail(fmt.Errorf("-tenants must be non-negative, got %d", *tenants))
+	}
+	if *shards < 0 {
+		fail(fmt.Errorf("-shards must be non-negative, got %d", *shards))
+	}
+	if *clients < 0 {
+		fail(fmt.Errorf("-clients must be non-negative (0 = 100000), got %d", *clients))
 	}
 
 	var ids []string

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -68,7 +69,6 @@ func main() {
 		tenants = flag.Int("tenants", 0, "replicate the preset into this many broker-coupled cells (0/1 = single-tenant)")
 		shards  = flag.Int("shards", 0, "worker threads advancing cells in parallel (multi-tenant only; results identical for any value)")
 		sync    = flag.Float64("sync", 0, "broker epoch length in simulated seconds (0 = default 1.0; multi-tenant only)")
-		stretch = flag.Int("stretch", 0, "adaptive broker lookahead: widen the barrier up to this many epochs while no cell changes demand class (0/1 = fixed; multi-tenant only)")
 		clients = flag.Int("clients", 0, "simulated client population of the overload preset (0 = 100000; count-batched, any N costs one timer per class)")
 		admit   = flag.Int("admit", -1, "admission-queue bound: arrivals beyond this many waiting queries are rejected (-1 = preset default, 0 = unbounded)")
 		trOut   = flag.String("trace", "", "write a Chrome trace-event JSON of replicate 0 to this file (load in Perfetto / chrome://tracing)")
@@ -133,8 +133,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
-	if !(*rate >= 0) {
-		fail(fmt.Errorf("-rate must be a non-negative number of queries/sec (0 = preset default), got %g", *rate))
+	if !(*rate >= 0) || math.IsInf(*rate, 1) {
+		fail(fmt.Errorf("-rate must be a finite non-negative number of queries/sec (0 = preset default), got %g", *rate))
 	}
 	if !(*conf > 0 && *conf < 1) {
 		fail(fmt.Errorf("-confidence must lie strictly between 0 and 1, got %g", *conf))
@@ -150,6 +150,32 @@ func main() {
 	}
 	if *clients < 0 {
 		fail(fmt.Errorf("-clients must be non-negative (0 = 100000), got %d", *clients))
+	}
+	// A non-positive -hours would reach the config as an unset Duration
+	// and silently run the 10-hour default.
+	if !(*hours > 0) || math.IsInf(*hours, 1) {
+		fail(fmt.Errorf("-hours must be a finite positive number of simulated hours, got %g", *hours))
+	}
+	if *workers < 0 {
+		fail(fmt.Errorf("-workers must be non-negative (0 = GOMAXPROCS), got %d", *workers))
+	}
+	if *tenants < 0 {
+		fail(fmt.Errorf("-tenants must be non-negative (0/1 = single-tenant), got %d", *tenants))
+	}
+	if *shards < 0 {
+		fail(fmt.Errorf("-shards must be non-negative, got %d", *shards))
+	}
+	if !(*sync >= 0) || math.IsInf(*sync, 1) {
+		fail(fmt.Errorf("-sync must be a finite non-negative number of simulated seconds (0 = default 1.0), got %g", *sync))
+	}
+	if *admit < -1 {
+		fail(fmt.Errorf("-admit must be -1 (preset default), 0 (unbounded) or a positive bound, got %d", *admit))
+	}
+	if !(*prec >= 0) || math.IsInf(*prec, 1) {
+		fail(fmt.Errorf("-precision must be a finite non-negative fraction (0 = fixed -reps), got %g", *prec))
+	}
+	if *maxReps < 1 {
+		fail(fmt.Errorf("-max-reps must be at least 1, got %d", *maxReps))
 	}
 	if *rate > 0 {
 		cfg.Classes[0].ArrivalRate = *rate
@@ -177,7 +203,6 @@ func main() {
 		cfg.Tenants = *tenants
 		cfg.Shards = *shards
 		cfg.SyncInterval = *sync
-		cfg.SyncStretch = *stretch
 	}
 
 	spec := pmm.SweepSpec{Base: cfg, Reps: *reps, Workers: *workers, Confidence: *conf}

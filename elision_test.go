@@ -53,11 +53,6 @@ func TestElisionConformance(t *testing.T) {
 		changes.Phases[i].Duration /= 24
 	}
 
-	paced := pmm.BaselineConfig()
-	paced.Duration = 1500
-	paced.Classes[0].ArrivalRate = 0.10
-	paced.PaceFactor = 1
-
 	cases := []struct {
 		name       string
 		cfg        pmm.Config
@@ -71,7 +66,6 @@ func TestElisionConformance(t *testing.T) {
 		{"overload/PMM", withPolicy(overload, pmm.PolicyPMM), false},
 		{"contention/MinMax", withPolicy(contention, pmm.PolicyMinMax), false},
 		{"changes/PMM", withPolicy(changes, pmm.PolicyPMM), false},
-		{"paced/PMM", withPolicy(paced, pmm.PolicyPMM), false},
 	}
 	for _, c := range cases {
 		c := c

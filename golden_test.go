@@ -68,18 +68,18 @@ func TestGoldenKernelDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenTimerCancelDigests pins the digest contract for a
-// timer-cancel-heavy workload: the baseline class overloaded to 2.5× its
-// nominal rate (so most queries blow their firm deadlines and are
-// Interrupted mid-hold, each abort cancelling the pending hold timer)
-// with deadline-driven pacing enabled (every pacing park arms an urgency
-// timer that is Stopped when the park ends). The run is dominated by
-// Timer.Stop tombstones surfacing in the event queue, so it pins the
-// kernel's lazy-cancellation skipping specifically — a queue-structure
-// change must reproduce the exact live-event order through dense
-// tombstone traffic, not just through clean schedules. Constants
-// captured on the 4-ary-heap kernel before the timing-wheel refactor.
-func TestGoldenTimerCancelDigests(t *testing.T) {
+// TestGoldenDeadlineAbortDigests pins the digest contract for a
+// deadline-abort-heavy workload: the baseline class overloaded to 2.5×
+// the nominal rate, so most queries blow their firm deadlines and are
+// interrupted wherever they wait (admission, a gate queue, a disk
+// ride). The aborts fire from the kernel's deadline heap in between the
+// main heap's completions and wakes, so a queue-structure change must
+// reproduce the exact event order with that heap dense and busy, not
+// just through clean schedules. No timer is stopped in these runs. The
+// Max row dates from the 4-ary-heap kernel before the timing-wheel
+// refactor; the MinMax and PMM rows were captured before deadline
+// pacing was removed, with pacing off.
+func TestGoldenDeadlineAbortDigests(t *testing.T) {
 	golden := []struct {
 		name                               string
 		pol                                pmm.PolicyConfig
@@ -88,8 +88,8 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 		missRatio                          string
 	}{
 		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 660174, 151, 35, 103, 138, "0.746376811594"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1336843, 151, 15, 122, 137, "0.890510948905"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 853199, 151, 29, 108, 137, "0.788321167883"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1502874, 151, 25, 112, 137, "0.817518248175"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 882787, 151, 29, 109, 138, "0.789855072464"},
 	}
 	for _, g := range golden {
 		g := g
@@ -99,7 +99,6 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 			cfg.Seed = 42
 			cfg.Duration = 1500
 			cfg.Classes[0].ArrivalRate = 0.10
-			cfg.PaceFactor = 1
 			cfg.Policy = g.pol
 			sys, err := pmm.New(cfg)
 			if err != nil {
@@ -129,17 +128,17 @@ func TestGoldenTimerCancelDigests(t *testing.T) {
 }
 
 // TestGoldenDeepFrameDigests pins the digest contract for the deepest
-// inline frame stacks the simulator builds: PPHJ joins and external
-// sorts running side by side under heavy memory pressure (M cut to 800
-// pages) with deadline-driven pacing enabled. Squeezed allocations force
-// the join through partition spooling, adaptation and read-back and the
-// sort through multi-step merging with mid-merge splits, so every
-// operator frame (build/probe/flush/adapt/expand/read-back,
-// formation/emit/merge) plus the pacing and memory-wait leaf frames
-// appear on the stack together. A dispatch or frame-machinery change
-// must reproduce this order exactly, not just the shallow steady-state
-// paths. Constants captured on the closure-dispatch kernel before the
-// typed-payload refactor.
+// frame stacks the simulator builds: PPHJ joins and external sorts
+// running side by side under heavy memory pressure (M cut to 800 pages).
+// Squeezed allocations force the join through partition spooling,
+// adaptation and read-back and the sort through multi-step merging with
+// mid-merge splits, so every operator frame (build/probe/flush/adapt/
+// expand/read-back, formation/emit/merge) plus the memory-wait leaf
+// frame appear on the stack together. A dispatch or frame-machinery
+// change must reproduce this order exactly, not just the shallow
+// steady-state paths. The Max row dates from the closure-dispatch
+// kernel before the typed-payload refactor; the MinMax and PMM rows
+// were captured before deadline pacing was removed, with pacing off.
 func TestGoldenDeepFrameDigests(t *testing.T) {
 	golden := []struct {
 		name                               string
@@ -149,8 +148,8 @@ func TestGoldenDeepFrameDigests(t *testing.T) {
 		missRatio                          string
 	}{
 		{"Max", pmm.PolicyConfig{Kind: pmm.PolicyMax}, 133331, 154, 32, 112, 144, "0.777777777778"},
-		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1059341, 154, 22, 121, 143, "0.846153846154"},
-		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 587118, 154, 34, 109, 143, "0.762237762238"},
+		{"MinMax", pmm.PolicyConfig{Kind: pmm.PolicyMinMax}, 1373997, 154, 37, 106, 143, "0.741258741259"},
+		{"PMM", pmm.PolicyConfig{Kind: pmm.PolicyPMM}, 895186, 154, 30, 113, 143, "0.790209790210"},
 	}
 	for _, g := range golden {
 		g := g
@@ -160,7 +159,6 @@ func TestGoldenDeepFrameDigests(t *testing.T) {
 			cfg.Seed = 42
 			cfg.Duration = 1500
 			cfg.MemoryPages = 800
-			cfg.PaceFactor = 1
 			cfg.Classes[0].ArrivalRate = 0.05
 			cfg.Classes = append(cfg.Classes, pmm.ClassSpec{
 				Name:        "Sort",
@@ -323,19 +321,20 @@ func TestGoldenOverloadDigests(t *testing.T) {
 // holds (kernel dispatches and cancels, gate transitions, spans, instants
 // and samples) for 600 s BaselineConfig PMM runs whose firm deadlines
 // abort queries mid-wait — once at the nominal rate and once overloaded
-// with deadline pacing, where aborts and cancels are dense. Any change
-// to which kernel events exist, to their (time, seq) stamps, kinds or
-// payloads, or to the cancel record an interrupt leaves behind moves the
-// digest. Captured before disk completions carried their caller's wake.
+// to 0.10 queries/s, where aborts are dense and each abort of a query
+// riding on a disk transfer leaves a cancel record. Any change to which
+// kernel events exist, to their (time, seq) stamps, kinds or payloads,
+// or to the cancel record an interrupt leaves behind moves the digest.
+// Baseline was captured before disk completions carried their caller's
+// wake; Overload before deadline pacing was removed.
 func TestGoldenTraceStreamDigest(t *testing.T) {
 	golden := []struct {
 		name   string
 		rate   float64
-		pace   float64
 		digest string
 	}{
-		{"Baseline", 0.06, 0, "c04ffac393eef2e6893346710b82ba00331059aad4518bf5f3a5d7d5c5f926ef"},
-		{"OverloadPaced", 0.10, 1, "1a3a857a2cbd94892f095ccf342945c8e2a2bffc06180319003a7d7b54813824"},
+		{"Baseline", 0.06, "c04ffac393eef2e6893346710b82ba00331059aad4518bf5f3a5d7d5c5f926ef"},
+		{"Overload", 0.10, "9fb14cc7b59c873cadd3b5bca0961fe4e0b9eeae19cc71be1ea19c59c372cb33"},
 	}
 	for _, g := range golden {
 		g := g
@@ -345,7 +344,6 @@ func TestGoldenTraceStreamDigest(t *testing.T) {
 			cfg.Seed = 42
 			cfg.Duration = 600
 			cfg.Classes[0].ArrivalRate = g.rate
-			cfg.PaceFactor = g.pace
 			cfg.Policy = pmm.PolicyConfig{Kind: pmm.PolicyPMM}
 			res, tr, err := pmm.RunTraced(cfg, pmm.TraceWindow{})
 			if err != nil {

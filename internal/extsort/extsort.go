@@ -84,7 +84,7 @@ type run struct {
 // sstate is per-execution sort state: the shared data plus one reusable
 // frame per formerly-blocking function. No frame appears twice on the
 // stack: run → {formation|merge}, formation → emit, and the merge frame
-// only enters leaf reads/appends and the pacing/memory waits.
+// only enters leaf reads/appends and the memory wait.
 type sstate struct {
 	e    *query.Exec
 	op   *Sort
@@ -217,9 +217,9 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				f.PC = 9
 				continue
 			}
-			if !e.PaceIdle() {
-				// Suspended, or pacing at the bare minimum: flush the heap
-				// so the held pages are honest, then wait.
+			if !e.WaitMemoryIdle() {
+				// Suspended: flush the heap so the held pages are honest,
+				// then wait.
 				f.PC = 2
 				return s.callEmit(m, f.heapFill)
 			}
@@ -231,11 +231,11 @@ func (f *formationFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.heapFill = 0
 			s.closeRun()
 			f.PC = 3
-			if !e.PaceIdle() {
-				return e.CallPace(m)
+			if !e.WaitMemoryIdle() {
+				return e.CallWaitMemory(m)
 			}
 			ok = true
-		case 3: // pacing done
+		case 3: // memory wait done
 			if !ok {
 				return m.Return(false)
 			}
@@ -360,11 +360,11 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 1
-			if !e.PaceIdle() {
-				return e.CallPace(m)
+			if !e.WaitMemoryIdle() {
+				return e.CallWaitMemory(m)
 			}
 			ok = true
-		case 1: // paced: plan one merge step
+		case 1: // memory held: plan one merge step
 			if !ok {
 				return m.Return(false)
 			}

@@ -71,22 +71,19 @@ func snapJoin(s *jstate) jfields {
 
 // joinState is one grid point of a join's per-block state.
 type joinState struct {
-	alloc          string // "0", "min", "mid" or "max"
-	expanded       int
-	perPartRaw     float64
-	rBuf, sBuf     float64
-	sPending       float64
-	sRemaining     int // S pages left to probe, for late expansion
-	pace, deadline float64
+	alloc      string // "0", "min", "mid" or "max"
+	expanded   int
+	perPartRaw float64
+	rBuf, sBuf float64
+	sPending   float64
+	sRemaining int // S pages left to probe, for late expansion
 }
 
 // build returns a fresh harness and join state at grid point g, the
 // join set up but not started.
 func (g joinState) build(t *testing.T) (*harness, *jstate) {
 	h := newHarness(t, 300, 1500)
-	h.env.PaceFactor = g.pace
 	q := h.q
-	q.Deadline = g.deadline
 	switch g.alloc {
 	case "0":
 		q.Alloc = 0
@@ -124,8 +121,7 @@ type entryCase struct {
 // join's data unchanged; when it says not idle, step 0 does something
 // else. The grid spans allocations from suspended to maximum,
 // partitions from all contracted to all expanded, spool buffers around
-// one block, spooled S pages, and pacing off, before, at and after the
-// urgency time (deadline − 3·StandAlone with StandAlone 30, at t=0).
+// one block, and spooled S pages.
 func TestEntryTestsMatchFrames(t *testing.T) {
 	b := NumPartitions(300, testF)
 	allocs := []string{"0", "min", "mid", "max"}
@@ -160,19 +156,17 @@ func TestEntryTestsMatchFrames(t *testing.T) {
 	for _, alloc := range allocs {
 		for _, exp := range expanded {
 			for _, ppr := range perPart {
-				for _, pd := range [][2]float64{{0, 1e9}, {1, 1e9}, {1, 90}, {1, 50}} {
-					check(adapt, joinState{alloc: alloc, expanded: exp, perPartRaw: ppr, pace: pd[0], deadline: pd[1]})
-				}
+				check(adapt, joinState{alloc: alloc, expanded: exp, perPartRaw: ppr})
 				for _, sp := range []float64{0, 40} {
 					for _, rem := range []int{0, 100, 1500} {
-						check(expand, joinState{alloc: alloc, expanded: exp, perPartRaw: ppr, sPending: sp, sRemaining: rem, deadline: 1e9})
+						check(expand, joinState{alloc: alloc, expanded: exp, perPartRaw: ppr, sPending: sp, sRemaining: rem})
 					}
 				}
 			}
 		}
 	}
 	for _, buf := range []float64{0, 0.4, testBS - 0.5, testBS, testBS + 0.5, 2*testBS + 1} {
-		g := joinState{alloc: "min", expanded: b / 2, perPartRaw: 1.5, rBuf: buf, sBuf: buf, deadline: 1e9}
+		g := joinState{alloc: "min", expanded: b / 2, perPartRaw: 1.5, rBuf: buf, sBuf: buf}
 		check(flushR, g)
 		check(flushS, g)
 	}

@@ -95,7 +95,7 @@ func (op *PPHJ) Start(e *query.Exec) sim.Frame {
 // jstate is the per-execution state of a join: the shared data the
 // original blocking implementation kept here, plus one reusable frame
 // per formerly-blocking function. No frame ever appears twice on the
-// stack: run → {build|probe|cleanup}, build/probe → adapt → pace,
+// stack: run → {build|probe|cleanup}, build/probe → adapt → memory wait,
 // probe → expand → readBack, and every spool flush runs to completion
 // before the next is entered.
 type jstate struct {
@@ -256,10 +256,9 @@ func (s *jstate) fits() bool {
 }
 
 // adaptIdle reports whether adaptation would return true at once: the
-// join's footprint fits and pacing would not hold it back (PaceIdle also
-// requires a nonzero allocation). The adapt frame's step 0 runs this
-// test.
-func (s *jstate) adaptIdle() bool { return s.fits() && s.e.PaceIdle() }
+// join holds memory and its footprint fits. The adapt frame's step 0
+// runs this test.
+func (s *jstate) adaptIdle() bool { return s.e.WaitMemoryIdle() && s.fits() }
 
 // adaptFrame reconciles the join's footprint with its current
 // allocation: suspension spools everything and waits for memory;
@@ -281,12 +280,6 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if e.Alloc() == 0 {
 				f.PC = 2
 				continue
-			}
-			if s.fits() {
-				// Fits, but stuck at the bare minimum with slack to spare:
-				// defer further work (§3.2 deadline-driven pacing).
-				f.PC = 7
-				return e.CallPace(m)
 			}
 			if s.contractPrep() {
 				f.PC = 1
@@ -339,8 +332,6 @@ func (f *adaptFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(false)
 			}
 			f.PC = 0
-		case 7: // pacing done (tail position)
-			return m.Return(ok)
 		}
 	}
 }
@@ -697,11 +688,11 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				return m.Return(true)
 			}
 			f.PC = 4
-			if !e.PaceIdle() {
-				return e.CallPace(m)
+			if !e.WaitMemoryIdle() {
+				return e.CallWaitMemory(m)
 			}
 			ok = true
-		case 4: // paced
+		case 4: // memory held
 			if !ok {
 				return m.Return(false)
 			}

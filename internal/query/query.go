@@ -12,11 +12,10 @@
 // frames for the common blocking compounds; all of them reproduce the
 // event sequence of the original blocking implementation bit for bit.
 //
-// Operators consult the pacing and memory waits once per block, and
-// nearly always the wait has nothing to do. So each has an entry test
-// beside its Call method, PaceIdle and WaitMemoryIdle, that its step 0
-// runs first; callers enter the wait only when the test finds work (the
-// frame rule of package sim).
+// Operators consult the memory wait once per block, and nearly always
+// it has nothing to do. So it has an entry test beside its Call method,
+// WaitMemoryIdle, that its step 0 runs first; callers enter the wait
+// only when the test finds work (the frame rule of package sim).
 //
 // Memory adaptation is pull-based: the allocator updates Query.Alloc and
 // operators observe the new value at their next step boundary (one block
@@ -113,14 +112,6 @@ type Env struct {
 	Trace   *trace.Collector
 	IOTrack trace.TrackID
 
-	// PaceFactor > 0 enables deadline-driven pacing (see CallPace):
-	// a query at its bare minimum allocation defers work until its
-	// remaining time falls below PaceFactor × (two-pass estimate).
-	// 0 disables pacing: queries always process with whatever memory
-	// they hold. Disabled by default — an ablation knob; calibration
-	// showed eager processing yields lower miss ratios overall.
-	PaceFactor float64
-
 	tempID int64 // temp file ids are negative and never recycled
 }
 
@@ -147,7 +138,6 @@ type Exec struct {
 	// Reusable child frames. Each is configured and (re)entered through
 	// its Call* method; none ever appears twice on the frame stack.
 	frWaitMem waitMemFrame
-	frPace    paceFrame
 	frReadRel readRelFrame
 	frAppend  appendFrame
 	frRead    readTempFrame
@@ -227,85 +217,6 @@ func (f *waitMemFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 			ok = false
 		case 1: // park ended
-			e.Q.WantMem = 0
-			if !ok {
-				return m.Return(false)
-			}
-			f.PC = 0
-		}
-	}
-}
-
-// CallPace enters the Earliest-Deadline pacing wait of the paper's §3.2
-// as a child frame: a query's allocation "settles on the maximum as its
-// deadline draws close", so a query holding only its bare minimum defers
-// the expensive extra-pass processing while it still has ample slack —
-// executing at minimum memory costs up to three times the one-pass I/O,
-// and a later top-up does that work at a fraction of the price. The
-// query parks until it is topped up beyond its minimum or its remaining
-// time falls under a conservative two-pass execution estimate, then
-// proceeds. The frame's result is false if the deadline interrupt
-// arrives first.
-func (e *Exec) CallPace(m *sim.Machine) sim.Status {
-	f := &e.frPace
-	f.e = e
-	return m.Call(f)
-}
-
-// PaceIdle reports whether CallPace would return true at once: the
-// query holds memory and pacing does not hold it back — pacing is off,
-// the query holds more than its bare minimum (or has no maximum above
-// it), or its urgency time has come. The pacing wait's step 0 runs
-// this test. Operators that must save state before the wait (a sort
-// flushing its heap) consult it first.
-func (e *Exec) PaceIdle() bool {
-	q := e.Q
-	return q.Alloc != 0 && (e.PaceFactor <= 0 || q.Alloc > q.MinMem || q.MinMem >= q.MaxMem ||
-		e.K.Now() >= e.urgentAt())
-}
-
-// urgentAt is the time from which a query at its bare minimum stops
-// pacing: its deadline less PaceFactor times a two-pass estimate.
-func (e *Exec) urgentAt() float64 {
-	q := e.Q
-	return q.Deadline - e.PaceFactor*3*q.StandAlone
-}
-
-type paceFrame struct {
-	sim.FrameState
-	e     *Exec
-	timer sim.Timer
-}
-
-func (f *paceFrame) Step(m *sim.Machine, ok bool) sim.Status {
-	e := f.e
-	for {
-		switch f.PC {
-		case 0: // loop head
-			if e.PaceIdle() {
-				return m.Return(true)
-			}
-			q := e.Q
-			if !e.WaitMemoryIdle() {
-				f.PC = 1
-				return e.CallWaitMemory(m)
-			}
-			// Park until topped up (the controller wakes any process with
-			// WantMem set when its grant changes) or until urgency arrives.
-			q.WantMem = q.MinMem + 1
-			f.timer = e.K.AtWake(e.urgentAt()-e.K.Now(), q.Proc)
-			f.PC = 2
-			if e.P.StartPark() {
-				return sim.Park
-			}
-			ok = false
-		case 1: // admission wait ended
-			if !ok {
-				return m.Return(false)
-			}
-			f.PC = 0
-		case 2: // pacing park ended
-			f.timer.Stop()
 			e.Q.WantMem = 0
 			if !ok {
 				return m.Return(false)

@@ -218,91 +218,6 @@ func TestWaitMemoryInterrupted(t *testing.T) {
 	}
 }
 
-func TestPacingDisabledByDefault(t *testing.T) {
-	k, env, rel := newEnv(t)
-	q := newQuery(rel)
-	q.Alloc = q.MinMem // bare minimum, far from deadline
-	e := &Exec{Env: env, Q: q}
-	script(k, e,
-		func(m *sim.Machine, ok bool) sim.Status {
-			if !e.PaceIdle() {
-				t.Error("pacing should be disabled with PaceFactor 0")
-			}
-			return e.CallPace(m)
-		},
-		func(m *sim.Machine, ok bool) sim.Status {
-			if !ok {
-				t.Error("pacing failed")
-			}
-			if k.Now() != 0 {
-				t.Error("disabled pacing consumed time")
-			}
-			return m.Return(ok)
-		},
-	)
-	k.Drain()
-}
-
-func TestPacingParksUntilUrgent(t *testing.T) {
-	k, env, rel := newEnv(t)
-	env.PaceFactor = 1.0
-	q := newQuery(rel)
-	q.Alloc = q.MinMem
-	q.StandAlone = 10
-	q.Deadline = 100 // urgency at 100 − 3·10 = 70
-	e := &Exec{Env: env, Q: q}
-	var resumed float64
-	script(k, e,
-		func(m *sim.Machine, ok bool) sim.Status {
-			if e.PaceIdle() {
-				t.Error("should pace: bare minimum and huge slack")
-			}
-			return e.CallPace(m)
-		},
-		func(m *sim.Machine, ok bool) sim.Status {
-			if !ok {
-				t.Error("pacing interrupted")
-			}
-			resumed = k.Now()
-			return m.Return(ok)
-		},
-	)
-	k.Drain()
-	if resumed != 70 {
-		t.Fatalf("resumed at %g, want 70 (deadline − 3×StandAlone)", resumed)
-	}
-}
-
-func TestPacingWakesOnTopUp(t *testing.T) {
-	k, env, rel := newEnv(t)
-	env.PaceFactor = 1.0
-	q := newQuery(rel)
-	q.Alloc = q.MinMem
-	q.StandAlone = 10
-	q.Deadline = 1000
-	e := &Exec{Env: env, Q: q}
-	var resumed float64
-	script(k, e,
-		func(m *sim.Machine, ok bool) sim.Status {
-			return e.CallPace(m)
-		},
-		func(m *sim.Machine, ok bool) sim.Status {
-			resumed = k.Now()
-			return m.Return(ok)
-		},
-	)
-	k.At(5, func() {
-		q.Alloc = q.MaxMem
-		if q.WantMem > 0 {
-			q.Proc.Wake()
-		}
-	})
-	k.Drain()
-	if resumed != 5 {
-		t.Fatalf("resumed at %g, want 5 (top-up)", resumed)
-	}
-}
-
 func TestQueryHelpers(t *testing.T) {
 	q := &Query{Arrival: 10, Deadline: 110}
 	if q.TimeConstraint() != 100 {

@@ -38,7 +38,9 @@ import (
 // v4: a second pure execution knob, the intra-cell disk cut, joined
 // Config. Like Shards it was never serialized, so the canonical text
 // did not change; the knob has since been removed and v4 stays.
-const formatVersion = "v4"
+// v5: the paceFactor and syncStretch lines left the config lines with
+// the deadline-pacing and adaptive-lookahead knobs they recorded.
+const formatVersion = "v5"
 
 // Key is the content address of one simulation result: the SHA-256 of
 // the epoch-salted canonical configuration text.
@@ -133,13 +135,11 @@ func CanonicalText(cfg rtdbs.Config) string {
 		}
 		line("fairness", vals...)
 	}
-	line("paceFactor", c.PaceFactor)
 	line("admitQueue", c.AdmitQueue)
 	// Canonical() zeroes the broker fields for single-tenant configs and
 	// always zeroes Shards, which never appears here: every Shards value
 	// replays to the same result, so all of them share one key.
 	line("tenants", c.Tenants)
 	line("syncInterval", c.SyncInterval)
-	line("syncStretch", c.SyncStretch)
 	return b.String()
 }

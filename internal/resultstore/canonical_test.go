@@ -100,21 +100,6 @@ func TestKeyIgnoresConstructionOrder(t *testing.T) {
 	if KeyFor(pop) != ka {
 		t.Fatalf("Population 1 / stray modulation params changed the key:\n%s", CanonicalText(pop))
 	}
-	// SyncStretch 1 is the fixed barrier, and single-tenant configs
-	// ignore it like SyncInterval.
-	mt3 := testConfig()
-	mt3.Tenants = 3
-	mt4 := mt3
-	mt4.SyncStretch = 1
-	if KeyFor(mt3) != KeyFor(mt4) {
-		t.Fatalf("SyncStretch 1 changed a multi-tenant key:\n%s", CanonicalText(mt4))
-	}
-	ss := testConfig()
-	ss.Classes[0].ArrivalRate = 0.07
-	ss.SyncStretch = 8
-	if KeyFor(ss) != ka {
-		t.Fatalf("SyncStretch changed a single-tenant key:\n%s", CanonicalText(ss))
-	}
 }
 
 // TestKeyDistinguishesBehavior asserts the converse: fields that do
@@ -137,15 +122,10 @@ func TestKeyDistinguishesBehavior(t *testing.T) {
 		"phases": func(c *rtdbs.Config) {
 			c.Phases = []rtdbs.Phase{{Duration: 100, Rates: []float64{0.05}}}
 		},
-		"pace":    func(c *rtdbs.Config) { c.PaceFactor = 1 },
 		"tenants": func(c *rtdbs.Config) { c.Tenants = 4 },
 		"syncInterval": func(c *rtdbs.Config) {
 			c.Tenants = 4
 			c.SyncInterval = 2.5
-		},
-		"syncStretch": func(c *rtdbs.Config) {
-			c.Tenants = 4
-			c.SyncStretch = 8
 		},
 		"admitQueue": func(c *rtdbs.Config) { c.AdmitQueue = 64 },
 		"population": func(c *rtdbs.Config) { c.Classes[0].Population = 1000 },
@@ -177,7 +157,7 @@ func TestKeyDistinguishesBehavior(t *testing.T) {
 // because the canonical format or the simulation epoch changed
 // intentionally, update the constant — that IS the cache invalidation.
 func TestKeyGolden(t *testing.T) {
-	const want = "cd21e594f0b59db96de7959e79d8bd118545652ab38526768acdbfe146c73b3a"
+	const want = "6558197ad097a4a8dfedd442146fac3119c449159e90a9e4b7ef74a1faca19e2"
 	got := KeyFor(testConfig()).String()
 	if got != want {
 		t.Fatalf("golden key drifted:\n got %s\nwant %s\ncanonical text:\n%s",
@@ -196,7 +176,7 @@ func TestCanonicalCoversAllConfigFields(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		"rtdbs.Config":        {reflect.TypeOf(rtdbs.Config{}), 17},
+		"rtdbs.Config":        {reflect.TypeOf(rtdbs.Config{}), 15},
 		"rtdbs.PolicyConfig":  {reflect.TypeOf(rtdbs.PolicyConfig{}), 4},
 		"rtdbs.Phase":         {reflect.TypeOf(rtdbs.Phase{}), 2},
 		"disk.Params":         {reflect.TypeOf(disk.Params{}), 7},

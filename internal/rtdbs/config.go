@@ -84,10 +84,6 @@ type Config struct {
 	// Policy selects the memory-allocation algorithm.
 	Policy PolicyConfig
 
-	// PaceFactor > 0 enables deadline-driven pacing of queries stuck at
-	// their minimum allocation (ablation knob; see query.Env.PaceFactor).
-	PaceFactor float64
-
 	// AdmitQueue > 0 bounds the admission queue: an arrival finding that
 	// many queries already waiting for their first memory grant is
 	// rejected at the door (counted per class, no query state built)
@@ -115,16 +111,6 @@ type Config struct {
 	// Defaults to 1.0 when Tenants > 1; ignored (canonicalized to 0)
 	// otherwise.
 	SyncInterval float64
-	// SyncStretch > 1 enables adaptive broker lookahead for multi-tenant
-	// runs: when no cell changed its demand class (memory-constrained or
-	// not) since the previous exchange, the effective barrier interval
-	// doubles, up to SyncStretch × SyncInterval, and snaps back to one
-	// interval as soon as any cell's class flips. Widening the barrier
-	// changes when the broker looks — so it is part of the canonical
-	// configuration — but results stay bit-identical across Shards
-	// values, exactly as with a fixed interval. 0 or 1 keeps the fixed
-	// barrier.
-	SyncStretch int
 	// Shards is the number of worker threads that advance cells
 	// concurrently in a multi-tenant run. It is purely an execution
 	// knob: results are bit-for-bit identical for every value, so it is
@@ -251,9 +237,6 @@ func (c Config) validate() error {
 	if c.Tenants > 1 && (math.IsNaN(c.SyncInterval) || math.IsInf(c.SyncInterval, 0)) {
 		return fmt.Errorf("rtdbs: SyncInterval %g is not a finite time", c.SyncInterval)
 	}
-	if c.SyncStretch < 0 {
-		return fmt.Errorf("rtdbs: negative sync stretch %d", c.SyncStretch)
-	}
 	if c.AdmitQueue < 0 {
 		return fmt.Errorf("rtdbs: negative admission-queue bound %d", c.AdmitQueue)
 	}
@@ -321,16 +304,11 @@ func (c Config) Canonical() Config {
 	c.Classes = cls
 	// Shards is a pure execution knob — every value produces the same
 	// results — so it never participates in content addressing. A
-	// single-tenant run ignores SyncInterval and SyncStretch entirely,
-	// and stretch 1 is the fixed barrier.
+	// single-tenant run ignores SyncInterval entirely.
 	c.Shards = 0
-	if c.SyncStretch <= 1 {
-		c.SyncStretch = 0
-	}
 	if c.Tenants <= 1 {
 		c.Tenants = 0
 		c.SyncInterval = 0
-		c.SyncStretch = 0
 	}
 	return c
 }

@@ -249,19 +249,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPacedRunCompletes(t *testing.T) {
-	cfg := baselineConfig(PolicyConfig{Kind: PolicyMinMax}, 0.05, 2500)
-	cfg.PaceFactor = 1.0
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sys.Run()
-	if r.Completed == 0 {
-		t.Fatal("pacing starved every query")
-	}
-}
-
 func TestSortWorkloadWithMaxPolicy(t *testing.T) {
 	sys, err := New(sortConfig(PolicyConfig{Kind: PolicyMax}, 0.05, 2500))
 	if err != nil {

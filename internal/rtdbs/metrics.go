@@ -192,8 +192,7 @@ type Results struct {
 	PMMRestarts int
 
 	// BrokerExchanges counts broker barriers executed (multi-tenant runs
-	// only); with adaptive lookahead (Config.SyncStretch) it shrinks on
-	// unconstrained workloads.
+	// only).
 	BrokerExchanges int
 
 	// ShardDigest fingerprints a partitioned run's combined outcome:

@@ -82,18 +82,6 @@ type shardedRun struct {
 	budget int // Tenants × MemoryPages
 	epochs int // broker exchanges completed
 
-	// Adaptive lookahead (Config.SyncStretch): the barrier sits at
-	// SyncInterval·(ticks+stride). stride doubles — up to SyncStretch —
-	// after every exchange in which no cell changed its demand class,
-	// and snaps back to 1 when any cell flips, so idle or unconstrained
-	// systems pay fewer barriers while contended ones keep the fine
-	// interval. Both counters are integers and the boundary is computed
-	// multiplicatively, so it stays exact for any epoch count.
-	ticks       int
-	stride      int
-	constrained []bool // demand class per cell at the last exchange
-	seen        bool   // constrained[] holds a real previous exchange
-
 	// Per-epoch scratch, reused so the barrier allocates nothing in
 	// steady state.
 	msgs   []sim.Message
@@ -115,7 +103,7 @@ func newSharded(cfg Config) (*shardedRun, error) {
 	r := &shardedRun{cfg: cfg, budget: cfg.Tenants * cfg.MemoryPages}
 	for i := 0; i < cfg.Tenants; i++ {
 		cc := cfg
-		cc.Tenants, cc.Shards, cc.SyncInterval, cc.SyncStretch = 0, 0, 0, 0
+		cc.Tenants, cc.Shards, cc.SyncInterval = 0, 0, 0
 		cc.Seed = workload.ShardSeed(cfg.Seed, i)
 		sys, err := New(cc)
 		if err != nil {
@@ -124,8 +112,6 @@ func newSharded(cfg Config) (*shardedRun, error) {
 		r.cells = append(r.cells, &cell{id: int32(i), sys: sys, run: r})
 	}
 	n := len(r.cells)
-	r.stride = 1
-	r.constrained = make([]bool, n)
 	r.msgs = make([]sim.Message, 0, n)
 	r.quotas = make([]int, n)
 	r.needs = make([]int, n)
@@ -133,9 +119,11 @@ func newSharded(cfg Config) (*shardedRun, error) {
 	return r, nil
 }
 
-// horizon is the next epoch boundary shared by every cell.
+// horizon is the next epoch boundary shared by every cell. The epoch
+// count is an integer and the boundary is computed multiplicatively, so
+// it stays exact for any number of epochs.
 func (r *shardedRun) horizon() float64 {
-	return r.cfg.SyncInterval * float64(r.ticks+r.stride)
+	return r.cfg.SyncInterval * float64(r.epochs+1)
 }
 
 // run simulates the configured horizon and merges the cell results.
@@ -184,32 +172,7 @@ func (r *shardedRun) exchange(now float64) {
 	for _, c := range r.cells {
 		c.sys.ctrl.replan()
 	}
-	r.ticks += r.stride
 	r.epochs++
-	if r.cfg.SyncStretch > 1 {
-		// A cell's demand class: memory-constrained iff the broker could
-		// not cover its reported demand. Computed from the same sorted
-		// messages and final quotas every worker schedule produces, so
-		// the stride sequence — and with it every barrier time — is
-		// identical for any Shards value.
-		changed := !r.seen
-		for i, m := range r.msgs {
-			c := int(m.B) > r.quotas[i]
-			if !r.seen || c != r.constrained[m.Shard] {
-				changed = true
-			}
-			r.constrained[m.Shard] = c
-		}
-		r.seen = true
-		if changed {
-			r.stride = 1
-		} else if r.stride < r.cfg.SyncStretch {
-			r.stride *= 2
-			if r.stride > r.cfg.SyncStretch {
-				r.stride = r.cfg.SyncStretch
-			}
-		}
-	}
 }
 
 // rebalance computes and applies new cell quotas from the sorted

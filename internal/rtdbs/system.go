@@ -27,11 +27,18 @@ type System struct {
 	pool  *buffer.Pool
 	cat   *catalog.Catalog
 	gen   *workload.Generator
-	env   *query.Env
 	ctrl  *controller
 	met   *Metrics
 	pmm   *core.PMM // nil unless PolicyPMM
 	tr    *sysTrace // nil unless SetTrace attached a collector
+
+	// env is held by value. Its I/O counters are written on every disk
+	// request, and a small heap object of its own would share a cache
+	// line with the next object, which in a sharded run may belong to
+	// a cell another worker is running. A System is over 512 bytes, and
+	// Go rounds such objects to multiples of 64 bytes, so its fields
+	// share no line with another cell's.
+	env query.Env
 
 	// srcs holds the aggregated arrival source of each batched class
 	// (nil entries for classic Poisson classes) — the same instances the
@@ -92,7 +99,7 @@ func NewWithArena(cfg Config, a *sim.Arena) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.env = &query.Env{K: s.k, CPU: s.cpu, Disks: s.disks, Pool: s.pool, PaceFactor: cfg.PaceFactor}
+	s.env = query.Env{K: s.k, CPU: s.cpu, Disks: s.disks, Pool: s.pool}
 	s.met = newMetrics(len(cfg.Classes))
 
 	var alloc policy.Allocator
@@ -337,7 +344,7 @@ func (s *System) arrive(ci int) {
 func (s *System) launch(q *query.Query) {
 	f := sim.AllocFrom[queryFrame](s.k.Arena())
 	f.s, f.q = s, q
-	f.e = query.Exec{Env: s.env, Q: q}
+	f.e = query.Exec{Env: &s.env, Q: q}
 	q.Proc = s.k.Spawn(fmt.Sprintf("q%d", q.ID), f)
 	f.e.P = q.Proc
 	// The abort event deliberately fires even for queries that finish

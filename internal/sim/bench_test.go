@@ -30,8 +30,7 @@ func BenchmarkKernelChurn(b *testing.B) {
 }
 
 // BenchmarkTimerChurn is the schedule/cancel-heavy variant of
-// BenchmarkKernelChurn: the pacing + firm-deadline pattern where most
-// armed timers never fire. Each iteration schedules three timers at
+// BenchmarkKernelChurn, where most armed timers never fire. Each iteration schedules three timers at
 // distinct future times, cancels two, and executes one, so the queue
 // sees two tombstones per live event.
 func BenchmarkTimerChurn(b *testing.B) {

@@ -63,13 +63,13 @@
 // a child with Machine.Call, or returns a result with Machine.Return.
 // The contract has one rule for children: enter a child only when it
 // can block; the child's step 0 and its callers share one entry test.
-// A child that per-block loops consult, such as an operator's memory or
-// pacing check, exposes a method reporting whether its step 0 would
-// return true at once, arming no wait and changing no state. Its step 0
-// calls that method first, and a caller that finds it true continues
-// with ok=true instead of entering. Skipping a child then changes no
-// event, no sequence number and no step count, only the host work of a
-// push, a Step and a pop.
+// A child that per-block loops consult, such as an operator's memory
+// wait, exposes a method reporting whether its step 0 would return true
+// at once, arming no wait and changing no state. Its step 0 calls that
+// method first, and a caller that finds it true continues with ok=true
+// instead of entering. Skipping a child then changes no event, no
+// sequence number and no step count, only the host work of a push, a
+// Step and a pop.
 //
 // # Elision
 //

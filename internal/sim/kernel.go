@@ -54,9 +54,9 @@ const (
 	evTurn
 	// evWake delivers a hold's timed wake to the parked task in arg.
 	evWake
-	// evParkWake calls Wake on the task in arg: a no-op unless the task
-	// still sits in a plain park (pacing urgency timers).
-	evParkWake
+	// Kind 3 is retired. The kinds after it keep their values, which
+	// kernel trace records carry.
+	_
 	// evInterrupt calls Interrupt on the task in arg (deadline aborts).
 	evInterrupt
 	// evComplete / evCompleteQ end a resource service section: the
@@ -72,7 +72,6 @@ const (
 var _ = [1]struct{}{}[trace.KindClosure^evClosure]
 var _ = [1]struct{}{}[trace.KindTurn^evTurn]
 var _ = [1]struct{}{}[trace.KindWake^evWake]
-var _ = [1]struct{}{}[trace.KindParkWake^evParkWake]
 var _ = [1]struct{}{}[trace.KindInterrupt^evInterrupt]
 var _ = [1]struct{}{}[trace.KindComplete^evComplete]
 var _ = [1]struct{}{}[trace.KindCompleteQ^evCompleteQ]
@@ -388,16 +387,6 @@ func (k *Kernel) schedWake(delay float64, p *Proc) (int32, uint64) {
 	return id, seq
 }
 
-// AtWake schedules p.Wake() after delay simulated seconds: a timed
-// nudge that resumes the process only if it still sits in a plain park
-// (pacing urgency timers). A negative or NaN delay panics.
-func (k *Kernel) AtWake(delay float64, p *Proc) Timer {
-	checkDelay(delay)
-	id, s, seq := k.newSlot(evParkWake, p.tid)
-	k.sched(delay, id, s, seq)
-	return Timer{k: k, id: id, seq: seq}
-}
-
 // AtInterrupt schedules p.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
 // so the timer may safely outlive its target. A positive delay files
@@ -579,8 +568,6 @@ func (k *Kernel) step(until float64) bool {
 		k.tasks[arg].deliverWake(false)
 	case evClosure:
 		fn()
-	case evParkWake:
-		k.tasks[arg].Wake()
 	case evInterrupt:
 		k.tasks[arg].Interrupt()
 	case evComplete:

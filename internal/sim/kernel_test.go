@@ -209,7 +209,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 		call func(d float64)
 	}{
 		{"At", func(d float64) { k.At(d, func() {}) }},
-		{"AtWake", func(d float64) { k.AtWake(d, task) }},
 		{"AtInterrupt", func(d float64) { k.AtInterrupt(d, task) }},
 		{"AtComplete", func(d float64) { k.AtComplete(d, 0, true) }},
 		{"StartHold", func(d float64) { task.StartHold(d) }},
@@ -368,20 +367,27 @@ func TestWakeDoesNotDisturbHold(t *testing.T) {
 func TestInterruptWhileRunningDefersToNextBlock(t *testing.T) {
 	k := NewKernel()
 	var first, second bool
+	var firstAt, secondAt float64
 	spawnSteps(k, "self",
 		hold(1),
 		// Interrupt arrives while running (delivered synchronously here).
 		then(func(p *Proc, _ bool) { p.Interrupt() }),
-		hold(1), // should consume the pending interrupt
-		then(func(_ *Proc, ok bool) { first = ok }),
+		hold(1), // should consume the pending interrupt, arming nothing
+		then(func(_ *Proc, ok bool) { first, firstAt = ok, k.Now() }),
 		hold(1), // should proceed normally
-		then(func(_ *Proc, ok bool) { second = ok }),
+		then(func(_ *Proc, ok bool) { second, secondAt = ok, k.Now() }),
 	)
 	k.Drain()
 	if first {
 		t.Fatal("pending interrupt not delivered at next blocking point")
 	}
+	if firstAt != 1 {
+		t.Fatalf("interrupted hold ended at t=%g, want 1: the pending interrupt must end it at once", firstAt)
+	}
 	if !second {
 		t.Fatal("interrupt incorrectly persisted past one delivery")
+	}
+	if secondAt != 2 {
+		t.Fatalf("following hold ended at t=%g, want 2", secondAt)
 	}
 }

@@ -148,10 +148,10 @@ func (p *Proc) startRide() bool {
 	return true
 }
 
-// StartPark arms a plain cancellable wait, ended by Wake, Interrupt or
-// a scheduled AtWake, and reports whether it was entered; false means a
-// pending interrupt consumed it. On true the frame must return Park at
-// once, exactly as for StartHold.
+// StartPark arms a plain cancellable wait, ended by Wake or Interrupt,
+// and reports whether it was entered; false means a pending interrupt
+// consumed it. On true the frame must return Park at once, exactly as
+// for StartHold.
 func (p *Proc) StartPark() bool {
 	if p.takePendingInterrupt() {
 		return false
@@ -163,7 +163,7 @@ func (p *Proc) StartPark() bool {
 // Wake resumes a process parked in a plain wait (StartPark). Waking a
 // process in any other state is a no-op, so callers may wake liberally.
 // Waits owned by a Gate or Server can only be ended by the owning
-// primitive. For a timed wake, schedule Kernel.AtWake.
+// primitive. For a timed wait, use StartHold.
 func (p *Proc) Wake() {
 	if p.state == procParked && p.cancel == cancelPlain {
 		p.cancel = cancelNone

@@ -63,7 +63,7 @@ const (
 	KindClosure uint8 = iota
 	KindTurn
 	KindWake
-	KindParkWake
+	_ // 3 is retired; the kinds after it keep their recorded values
 	KindInterrupt
 	KindComplete
 	KindCompleteQ
@@ -80,8 +80,6 @@ func KernelEventName(kind uint8) string {
 		return "turn"
 	case KindWake:
 		return "wake"
-	case KindParkWake:
-		return "park-wake"
 	case KindInterrupt:
 		return "interrupt"
 	case KindComplete:
