@@ -249,7 +249,7 @@ func main() {
 	if len(runs) > 1 {
 		printAggregate(cfg, runs, agg)
 		printTelemetry(tel)
-		printTrace(*pmmTr, res)
+		printTrace(os.Stdout, *pmmTr, res)
 		return
 	}
 	fmt.Printf("arrived           %d\n", res.Arrived)
@@ -276,7 +276,7 @@ func main() {
 	fmt.Printf("I/O amplification %.2f (pages: %d read, %d spooled out, %d spooled in)\n",
 		res.AvgIOAmplification, res.IOBreakdown.RelRead, res.IOBreakdown.SpoolWrite, res.IOBreakdown.SpoolRead)
 	printTelemetry(tel)
-	printTrace(*pmmTr, res)
+	printTrace(os.Stdout, *pmmTr, res)
 }
 
 // writeTrace reruns replicate 0's exact configuration with the trace
@@ -421,23 +421,28 @@ func printAggregate(cfg pmm.Config, runs []*pmm.Results, agg pmm.Summary) {
 	}
 }
 
-// printTrace optionally dumps the PMM decision trace.
-func printTrace(enabled bool, res *pmm.Results) {
+// printTrace writes the PMM decision trace to w when enabled: per batch,
+// the columns fig6 prints, and a mark where a workload change reset PMM.
+func printTrace(w io.Writer, enabled bool, res *pmm.Results) {
 	if !enabled || len(res.PMMTrace) == 0 {
 		return
 	}
-	fmt.Println("\nPMM trace (time, mode, target, realized MPL, batch miss%):")
+	fmt.Fprintln(w, "\nPMM trace (time, mode, target, realized MPL, batch miss%, util%, curve):")
 	for _, pt := range res.PMMTrace {
 		target := fmt.Sprintf("%d", pt.Target)
 		if pt.Target == 0 {
 			target = "inf"
 		}
+		curve := pt.Curve
+		if curve == "" {
+			curve = "-"
+		}
 		reset := ""
 		if pt.Restart {
 			reset = "  [workload change: reset]"
 		}
-		fmt.Printf("  %7.0f  %-6s  %4s  %6.2f  %5.1f%%%s\n",
-			pt.Time, pt.Mode, target, pt.Realized, 100*pt.MissRatio, reset)
+		fmt.Fprintf(w, "  %7.0f  %-6s  %4s  %6.2f  %5.1f%%  %5.1f%%  %s%s\n",
+			pt.Time, pt.Mode, target, pt.Realized, 100*pt.MissRatio, 100*pt.Util, curve, reset)
 	}
 }
 

@@ -75,7 +75,8 @@ func TestGoldenKernelDigests(t *testing.T) {
 // ride). The aborts fire from the kernel's deadline heap in between the
 // main heap's completions and wakes, so a queue-structure change must
 // reproduce the exact event order with that heap dense and busy, not
-// just through clean schedules. No timer is stopped in these runs. The
+// just through clean schedules. An abort that ends a disk ride reports
+// a cancel, and no wake is ever dropped: only arrival sources hold. The
 // Max row dates from the 4-ary-heap kernel before the timing-wheel
 // refactor; the MinMax and PMM rows were captured before deadline
 // pacing was removed, with pacing off.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 )
 
 // burstFrame runs one burst on a CPU, then calls done (if non-nil) with
@@ -87,7 +88,7 @@ func TestEDOrderOnCPU(t *testing.T) {
 	c := New(k, 1)
 	var order []string
 	spawnRun(k, "first", c, 0, 5e6, nil)
-	k.At(1, func() {
+	simtest.At(k, 1, func() {
 		spawnRun(k, "late-deadline", c, 100, 1e6, func(*sim.Proc, bool) {
 			order = append(order, "late")
 		})

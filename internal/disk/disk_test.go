@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 )
 
 // step is one step of a test process written in straight-line form
@@ -169,12 +170,12 @@ func TestElisionDiskAccess(t *testing.T) {
 // ok=false, because the caller's wait is a cancellable hold, not an
 // uncancellable section. The transfer still completes on the disk's
 // timeline, and the caller's next hold runs from the interrupt, not
-// from the transfer's end. A timer pending at t=100 keeps the access
+// from the transfer's end. An event pending at t=100 keeps the access
 // from being elided.
 func TestInterruptDuringDirectTransfer(t *testing.T) {
 	k, m := newTestManager(t, 1, 100)
 	d := m.Disk(0)
-	k.At(100, func() {})
+	simtest.At(k, 100, func() {})
 	var req Request
 	var p *sim.Proc
 	entered, ok := false, true
@@ -217,7 +218,7 @@ func TestEDPriorityOrder(t *testing.T) {
 	}
 	// Occupy the disk, then queue low before high; high must win.
 	spawnSteps(k, "first", access(d, 0, 750, 6), record("first"))
-	k.At(0.001, func() {
+	simtest.At(k, 0.001, func() {
 		spawnSteps(k, "low", access(d, 9, 700, 6), record("low"))
 		spawnSteps(k, "high", access(d, 1, 800, 6), record("high"))
 	})
@@ -235,7 +236,7 @@ func TestElevatorTieBreak(t *testing.T) {
 	// cylinders 760, 740, 790 while the disk is busy; the elevator should
 	// serve 760, then 790 (continuing up), then 740.
 	spawnSteps(k, "first", access(d, 0, 755, 6))
-	k.At(0.0001, func() {
+	simtest.At(k, 0.0001, func() {
 		for _, cyl := range []int{790, 740, 760} {
 			cyl := cyl
 			spawnSteps(k, "tie", access(d, 5, cyl, 6), then(func(*sim.Proc, bool) { order = append(order, cyl) }))
@@ -321,7 +322,7 @@ func TestInterruptWhileQueued(t *testing.T) {
 	spawnSteps(k, "occupier", access(d, 0, 700, 90))
 	var got *bool
 	victim := spawnSteps(k, "victim", access(d, 1, 710, 6), then(func(_ *sim.Proc, ok bool) { got = &ok }))
-	k.At(0.001, func() { victim.Interrupt() })
+	simtest.At(k, 0.001, func() { victim.Interrupt() })
 	k.Drain()
 	if got == nil || *got {
 		t.Fatal("queued access should report interruption")
@@ -511,6 +512,24 @@ func (f *accessLoopFrame) Step(m *sim.Machine, ok bool) sim.Status {
 	}
 }
 
+// tickEvery is ticker's period.
+const tickEvery = 0.005
+
+// ticker is a completer that re-arms itself every tickEvery seconds
+// while its reader has accesses left, so an earlier event is always
+// pending.
+type ticker struct {
+	k  *sim.Kernel
+	f  *accessLoopFrame
+	id int32
+}
+
+func (tk *ticker) Complete(bool) {
+	if tk.f.left > 0 {
+		tk.k.AtComplete(tickEvery, tk.id, true)
+	}
+}
+
 // BenchmarkDiskDirectAccess measures the idle disk's direct path when
 // it cannot be elided: a lone reader makes back-to-back accesses while
 // a 5 ms ticker keeps an earlier event pending, so every access queues
@@ -527,13 +546,9 @@ func BenchmarkDiskDirectAccess(b *testing.B) {
 	const warm = 16
 	f := &accessLoopFrame{d: m.Disk(0), left: b.N + warm}
 	f.p = k.Spawn("reader", f)
-	var tick func()
-	tick = func() {
-		if f.left > 0 {
-			k.At(0.005, tick)
-		}
-	}
-	k.At(0.005, tick)
+	tk := &ticker{k: k, f: f}
+	tk.id = k.RegisterCompleter(tk)
+	k.AtComplete(tickEvery, tk.id, true)
 	for f.left > b.N {
 		k.Step()
 	}

@@ -10,6 +10,7 @@ import (
 	"pmm/internal/disk"
 	"pmm/internal/query"
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 )
 
 const (
@@ -164,7 +165,7 @@ func TestMergeSplitOnMemoryLoss(t *testing.T) {
 	h.q.Alloc = 62
 	// Shrink to the minimum mid-merge: the step must split, finish as
 	// sub-steps, and still complete.
-	h.k.At(12, func() { h.q.Alloc = 3 })
+	simtest.At(h.k, 12, func() { h.q.Alloc = 3 })
 	var ok bool
 	h.launch(&ok, nil)
 	h.k.Drain()
@@ -176,8 +177,8 @@ func TestMergeSplitOnMemoryLoss(t *testing.T) {
 func TestSuspensionAndResume(t *testing.T) {
 	h := newHarness(t, 600)
 	h.q.Alloc = 62
-	h.k.At(3, func() { h.q.Alloc = 0 })
-	h.k.At(8, func() {
+	simtest.At(h.k, 3, func() { h.q.Alloc = 0 })
+	simtest.At(h.k, 8, func() {
 		h.q.Alloc = 600
 		if h.q.WantMem > 0 {
 			h.q.Proc.Wake()
@@ -201,7 +202,7 @@ func TestAbortReleasesTemps(t *testing.T) {
 	h.q.Alloc = 10
 	var ok bool
 	h.launch(&ok, nil)
-	h.k.At(4, func() { h.q.Proc.Interrupt() })
+	simtest.At(h.k, 4, func() { h.q.Proc.Interrupt() })
 	h.k.Drain()
 	if ok {
 		t.Fatal("interrupted sort reported success")

@@ -5,6 +5,7 @@ import (
 
 	"pmm/internal/query"
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 	"pmm/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func returnsAtOnce(t *testing.T, k *sim.Kernel, e *query.Exec, child sim.Frame) 
 	// the marker is the next event dispatched and took the next
 	// sequence number.
 	fired := false
-	k.At(0, func() { fired = true })
+	simtest.At(k, 0, func() { fired = true })
 	for !fired && k.Step() {
 	}
 	ev := c.Kernel()

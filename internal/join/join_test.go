@@ -9,6 +9,7 @@ import (
 	"pmm/internal/disk"
 	"pmm/internal/query"
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 )
 
 const (
@@ -153,7 +154,7 @@ func TestContractionMidBuild(t *testing.T) {
 	h := newHarness(t, 300, 1500)
 	h.q.Alloc = h.q.MaxMem
 	// Drop to min after some build progress.
-	h.k.At(0.5, func() { h.q.Alloc = h.q.MinMem })
+	simtest.At(h.k, 0.5, func() { h.q.Alloc = h.q.MinMem })
 	var ok bool
 	h.launch(&ok, nil)
 	h.k.Drain()
@@ -169,8 +170,8 @@ func TestContractionMidBuild(t *testing.T) {
 func TestSuspensionAndResume(t *testing.T) {
 	h := newHarness(t, 300, 1500)
 	h.q.Alloc = h.q.MaxMem
-	h.k.At(0.5, func() { h.q.Alloc = 0 })
-	h.k.At(5.0, func() {
+	simtest.At(h.k, 0.5, func() { h.q.Alloc = 0 })
+	simtest.At(h.k, 5.0, func() {
 		h.q.Alloc = h.q.MaxMem
 		if h.q.WantMem > 0 {
 			h.q.Proc.Wake()
@@ -194,7 +195,7 @@ func TestAbortReleasesTemps(t *testing.T) {
 	h.q.Alloc = h.q.MinMem // force spooling so temps exist
 	var ok bool
 	h.launch(&ok, nil)
-	h.k.At(2, func() { h.q.Proc.Interrupt() })
+	simtest.At(h.k, 2, func() { h.q.Proc.Interrupt() })
 	h.k.Drain()
 	if ok {
 		t.Fatal("interrupted join reported success")
@@ -210,7 +211,7 @@ func TestExpansionRecoversAfterEarlyContraction(t *testing.T) {
 	// the probe phase: late expansion should read partitions back and the
 	// total cost must stay below the full two-pass.
 	h.q.Alloc = h.q.MinMem
-	h.k.At(3, func() {
+	simtest.At(h.k, 3, func() {
 		h.q.Alloc = h.q.MaxMem
 		if h.q.WantMem > 0 {
 			h.q.Proc.Wake()

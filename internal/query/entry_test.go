@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 	"pmm/internal/trace"
 )
 
@@ -38,7 +39,7 @@ func returnsAtOnce(t *testing.T, k *sim.Kernel, e *Exec, child sim.Frame) bool {
 	// the marker is the next event dispatched and took the next
 	// sequence number.
 	fired := false
-	k.At(0, func() { fired = true })
+	simtest.At(k, 0, func() { fired = true })
 	for !fired && k.Step() {
 	}
 	ev := c.Kernel()

@@ -8,6 +8,7 @@ import (
 	"pmm/internal/cpu"
 	"pmm/internal/disk"
 	"pmm/internal/sim"
+	"pmm/internal/sim/simtest"
 )
 
 func newEnv(t *testing.T) (*sim.Kernel, *Env, *catalog.Relation) {
@@ -184,7 +185,7 @@ func TestWaitMemoryBlocksUntilGrant(t *testing.T) {
 			return m.Return(ok)
 		},
 	)
-	k.At(3, func() {
+	simtest.At(k, 3, func() {
 		q.Alloc = 50
 		if q.WantMem > 0 {
 			q.Proc.Wake()
@@ -211,7 +212,7 @@ func TestWaitMemoryInterrupted(t *testing.T) {
 			return m.Return(ok)
 		},
 	)
-	k.At(1, func() { proc.Interrupt() })
+	simtest.At(k, 1, func() { proc.Interrupt() })
 	k.Drain()
 	if got == nil || *got {
 		t.Fatal("interrupted wait should return false")

@@ -16,10 +16,8 @@ type Arena struct {
 	kernel *Kernel      // live kernel allocated from this arena, if any
 
 	// Queue backings harvested from the previous kernel on Reset and
-	// re-adopted by the next NewKernelIn: the event-slot pool, the
-	// zero-delay lane, the two timed-event heaps, and the typed-event
-	// registries.
-	slotBuf []eventSlot
+	// re-adopted by the next NewKernelIn: the zero-delay lane, the two
+	// timed-event heaps, and the typed-event registries.
 	laneBuf []laneItem
 	heapBuf []heapItem
 	dlBuf   []heapItem
@@ -135,8 +133,6 @@ func AllocFrom[T any](a *Arena) *T {
 // Reset; the caller must extract results first.
 func (a *Arena) Reset() {
 	if k := a.kernel; k != nil {
-		clear(k.slots) // drop evClosure funcs
-		a.slotBuf = k.slots[:0]
 		a.laneBuf = k.lane[:0]
 		a.heapBuf = k.heap[:0]
 		a.dlBuf = k.dl[:0]

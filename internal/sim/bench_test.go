@@ -7,98 +7,44 @@ import "testing"
 // before/after history of earlier kernels is BENCH_kernel.json at the
 // repo root.
 
-// BenchmarkKernelChurn measures the timer churn pattern the simulator
-// generates constantly: schedule two events, cancel one, execute one.
+// BenchmarkKernelChurn measures the timed-event churn the simulator
+// generates constantly: schedule two completions a second and two
+// seconds ahead, then execute both.
 func BenchmarkKernelChurn(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
-	// Warm the event pool so steady state is measured, not growth.
+	comp := k.RegisterCompleter(nopCompleter{})
+	// Warm the heap backing so steady state is measured, not growth.
 	for i := 0; i < 64; i++ {
-		k.At(1, fn)
+		k.AtComplete(1, comp, false)
 	}
 	k.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := k.At(1, fn)
-		k.At(2, fn)
-		t.Stop()
+		k.AtComplete(1, comp, false)
+		k.AtComplete(2, comp, false)
+		k.Step()
 		k.Step()
 	}
-	b.StopTimer()
-	k.Drain()
-}
-
-// BenchmarkTimerChurn is the schedule/cancel-heavy variant of
-// BenchmarkKernelChurn, where most armed timers never fire. Each iteration schedules three timers at
-// distinct future times, cancels two, and executes one, so the queue
-// sees two tombstones per live event.
-func BenchmarkTimerChurn(b *testing.B) {
-	k := NewKernel()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		k.At(0.5, fn)
-	}
-	k.Drain()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t1 := k.At(0.5, fn)
-		t2 := k.At(1.5, fn)
-		k.At(1, fn)
-		t1.Stop()
-		t2.Stop()
-		k.Step()
-	}
-	b.StopTimer()
-	k.Drain()
-}
-
-// BenchmarkFarFuture measures events scheduled ~160 simulated years
-// ahead and cancelled before firing: a distant-timeout pattern. Both
-// the pending entries and the cancellation tombstones must stay
-// allocation-free in steady state.
-func BenchmarkFarFuture(b *testing.B) {
-	k := NewKernel()
-	fn := func() {}
-	// Two long-lived anchor timers keep the heap non-empty, so the
-	// measured far-future events are filed behind pending entries.
-	k.At(6e7, fn)
-	k.At(6e7, fn)
-	// Warm the heap's backing array and its compaction path.
-	for i := 0; i < 64; i++ {
-		t := k.At(5e9, fn)
-		t.Stop()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := k.At(5e9, fn)
-		k.At(1, fn)
-		t.Stop() // tombstone; periodic compaction reclaims
-		k.Step() // fires the near event
-	}
-	b.StopTimer()
-	k.Drain()
 }
 
 // BenchmarkKernelZeroDelay measures the same-timestamp handoff pattern
 // (spawn turns, wakes, gate grants): schedule at delay 0, execute.
 func BenchmarkKernelZeroDelay(b *testing.B) {
 	k := NewKernel()
-	fn := func() {}
-	k.At(0, fn)
+	comp := k.RegisterCompleter(nopCompleter{})
+	k.AtComplete(0, comp, false)
 	k.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.At(0, fn)
+		k.AtComplete(0, comp, false)
 		k.Step()
 	}
 }
 
-// BenchmarkInlineHoldWake measures the process wait cycle: a hold (timer
-// park + timed wake), then a plain park ended by an external Wake, each
+// BenchmarkInlineHoldWake measures the process wait cycle: a hold (park
+// + timed wake), then a plain park ended by an external Wake, each
 // resumed by a turn the kernel runs as a call into the process's frame.
 func BenchmarkInlineHoldWake(b *testing.B) {
 	k := NewKernel()
@@ -109,7 +55,7 @@ func BenchmarkInlineHoldWake(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake scheduled
+		k.Step() // hold wake fires, turn scheduled
 		k.Step() // machine resumes, blocks in its park
 		p.Wake()
 		k.Step() // machine resumes, blocks in its hold again
@@ -119,7 +65,7 @@ func BenchmarkInlineHoldWake(b *testing.B) {
 	k.Drain()
 }
 
-// holdOnlyFrame re-arms a 1-second hold forever: the pure timer-wake
+// holdOnlyFrame re-arms a 1-second hold forever: the pure timed-wake
 // turn cycle with no external wakes, isolating event dispatch.
 type holdOnlyFrame struct {
 	FrameState
@@ -157,7 +103,7 @@ func BenchmarkTypedDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake delivered
+		k.Step() // hold wake fires, turn scheduled
 		k.Step() // turn: machine re-arms its hold
 	}
 	b.StopTimer()
@@ -245,7 +191,7 @@ func (f *warmStartFrame) Step(m *Machine, ok bool) Status {
 // BenchmarkArenaWarmStart measures the replicate start-up pattern the
 // sweep engine repeats thousands of times: build a kernel, spawn a
 // batch of processes, run them to completion, tear down. With a
-// per-worker arena the whole cycle — kernel, frames, event pool — runs
+// per-worker arena the whole cycle — kernel, frames, event queues — runs
 // on memory recycled from the previous replicate, at 0 allocs/op.
 func BenchmarkArenaWarmStart(b *testing.B) {
 	const batch = 32
@@ -400,20 +346,18 @@ func BenchmarkDelayScale(b *testing.B) {
 	for _, s := range scales {
 		b.Run(s.name, func(b *testing.B) {
 			k := NewKernel()
-			fn := func() {}
-			// Warm the pool and the heap backing.
+			comp := k.RegisterCompleter(nopCompleter{})
+			// Warm the heap backing.
 			for i := 0; i < 64; i++ {
-				k.At(s.delay, fn)
+				k.AtComplete(s.delay, comp, false)
 			}
 			k.Drain()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.At(s.delay, fn)
+				k.AtComplete(s.delay, comp, false)
 				k.Step()
 			}
-			b.StopTimer()
-			k.Drain()
 		})
 	}
 }

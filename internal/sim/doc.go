@@ -7,32 +7,34 @@
 // exactly one of {kernel, some process} runs at any instant, so
 // simulations are fully deterministic for a fixed seed and schedule.
 //
-// The scheduling core is allocation-free in steady state: event
-// records are pooled and recycled, timed events wait in two 4-ary
-// min-heaps ordered by (time, sequence), and zero-delay events —
-// process turns, wakes, gate grants — bypass the heaps through a
-// same-timestamp FIFO fast lane.  Firm-deadline aborts (AtInterrupt)
-// have a heap of their own, since they sit pending for a query's whole
-// life and rarely fire; every other timed event goes to the main heap,
-// and the next timed event is the smaller of the two roots.  Run and
-// Step select each event once, through the same body.  Cancellation
-// leaves a tombstone that the heaps drop at their roots, and they
-// compact themselves once tombstones outnumber live entries; while no
-// tombstone can be pending, a root read does not check the event's
-// slot.  See kernel.go and queue.go.
+// The scheduling core is allocation-free in steady state.  An event
+// is a plain value — its time, its sequence number, and its kind packed
+// with a payload — held whole in its queue entry: timed events wait in
+// two 4-ary min-heaps ordered by (time, sequence), and zero-delay
+// events — process turns, wakes, gate grants — bypass the heaps
+// through a same-timestamp FIFO fast lane.  Firm-deadline aborts
+// (AtInterrupt) have a heap of their own, since they sit pending for a
+// query's whole life and rarely fire; every other timed event goes to
+// the main heap, and the next timed event is the smaller of the two
+// roots.  Run and Step select each event once, through the same body.
+// No event is ever cancelled.  An interrupt that ends a hold leaves its
+// wake queued, and a wake fires only while its process still waits in
+// the hold that carries its sequence number (Proc.holding); otherwise
+// it is dropped, firing nothing, counting no step and leaving the clock
+// alone.  No production run drops one: only arrival sources hold, and
+// deadline aborts interrupt queries.  See kernel.go and queue.go.
 //
 // The CPU and disk queues are Gates, which keep their waiters in
 // (priority, arrival) order, so the Earliest-Deadline pick is the head
 // of the queue.  See gate.go.
 //
-// Events are typed, not closures.  The kernel's own events (task
-// wakes, park wakes, interrupts, completions) carry a 3-bit kind and a
-// 29-bit task/completion index packed into one int32 in the event
-// slot, and Step dispatches them through a single switch — firing an
-// event is array index + direct call, with no closure environment kept
-// alive.  Task turns go further and use no slot at all: the fast-lane
-// entry itself names the task.  Kernel.At is the closure escape hatch
-// (kind 0) for tests, workload sources and controllers.
+// Events are typed, not closures.  Every event (a task's turn, a
+// hold's wake, a deadline abort, a service completion) carries a 3-bit
+// kind and a 29-bit task or completer index packed into one int32 in
+// its queue entry, and Step dispatches it through a single switch —
+// firing an event is array index + direct call, with no closure
+// environment kept alive.  Tests schedule ad-hoc callbacks through
+// simtest.At, a completer registered per call.
 //
 // Memory placement is caller-controlled.  NewKernel heap-allocates;
 // NewKernelIn builds the kernel and its queue backings from an Arena —
@@ -81,7 +83,7 @@
 // conditions hold:
 //
 //  1. no trace sink is attached;
-//  2. the zero-delay lane holds no live entry;
+//  2. the zero-delay lane is empty;
 //  3. the earliest timed event lies strictly after at (an equal time
 //     carries a lower sequence number and wins);
 //  4. at ≤ the until of the Run in progress;
@@ -106,18 +108,18 @@
 // hold for the service time would queue a wake at the completion's
 // time with the very next sequence number, which nothing could ever
 // overtake. Kernel.AtCompleteRide schedules the completion and parks
-// the caller in a ride instead. A ride is a hold with no slot: it
-// reserves that next sequence number and stays cancellable, so an
-// interrupt resumes the caller at once and reports the reserved number
-// to the sink as a cancel. The completer frees the disk, dispatches the
-// next request, then calls Kernel.DeliverRide. If the ride is still
-// armed, DeliverRide counts a step, reports the same evWake dispatch to
-// the sink and resumes the caller. So Steps, sequence numbers, digests
-// and the trace stream are those of the plain hold, and the path is the
-// same with a sink attached or not. Elision is
-// unchanged and still counts 3 events per disk access. The CPU needs no
-// ride: its direct burst is uncancellable, and its completion resumes
-// the caller directly.
+// the caller in a ride instead. A ride is a hold with no wake event of
+// its own: it reserves that next sequence number and stays cancellable,
+// so an interrupt resumes the caller at once and reports the reserved
+// number to the sink as a cancel, as for a timed hold. The completer
+// frees the disk, dispatches the next request, then calls
+// Kernel.DeliverRide. If the ride is still armed, DeliverRide counts a
+// step, reports the same evWake dispatch to the sink and resumes the
+// caller. So Steps, sequence numbers, digests and the trace stream are
+// those of the plain hold, and the path is the same with a sink
+// attached or not. Elision is unchanged and still counts 3 events per
+// disk access. The CPU needs no ride: its direct burst is
+// uncancellable, and its completion resumes the caller directly.
 //
 // # Partitioned execution
 //
@@ -155,7 +157,7 @@
 //
 // Kernel.SetSink attaches a trace.Sink that observes every dispatched
 // event (with its time, sequence number, typed kind, and payload),
-// every successful timer cancel, and every gate-queue transition
+// every hold an interrupt ends, and every gate-queue transition
 // (enqueue, release, service entry, interrupt removal), plus the spawn
 // name of each registered task.  The sink contract is strict: a sink is
 // a pure observer of the (time, seq) stream and must not schedule

@@ -105,13 +105,13 @@ func TestElisionPastRunUntilNotElided(t *testing.T) {
 func TestElisionTimedTieNotElided(t *testing.T) {
 	k := NewKernel()
 	var f *burstFrame
-	timerFirst := false
-	k.At(2, func() { timerFirst = !f.done })
+	tieFirst := false
+	at(k, 2, func() { tieFirst = !f.done })
 	f = spawnBurst(k, nil)
 	k.Run(10)
 	checkBurst(t, k, f, false)
-	if !timerFirst {
-		t.Fatal("the burst finished before the earlier-scheduled timer at its instant")
+	if !tieFirst {
+		t.Fatal("the burst finished before the earlier-scheduled event at its instant")
 	}
 }
 
@@ -121,7 +121,7 @@ func TestElisionPendingLaneNotElided(t *testing.T) {
 	k := NewKernel()
 	f := spawnBurst(k, nil)
 	firedAt := -1.0
-	k.At(0, func() { firedAt = k.Now() })
+	at(k, 0, func() { firedAt = k.Now() })
 	k.Run(10)
 	checkBurst(t, k, f, false)
 	if firedAt != 0 {

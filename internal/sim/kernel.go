@@ -7,55 +7,27 @@ import (
 	"pmm/internal/trace"
 )
 
-// The kernel's scheduling core is allocation-free in steady state:
-//
-//   - Event records live in a pooled slot arena. Scheduling reuses a
-//     freed slot instead of heap-allocating (the free list is threaded
-//     through the slots themselves), so after warmup At/Stop/Step never
-//     allocate.
-//   - Timed events wait in two 4-ary min-heaps ordered by (time, seq)
-//     (queue.go): deadline aborts in one, everything else in the other,
-//     and the smaller root fires first. Cancellation leaves a tombstone,
-//     dropped when it reaches a root or when the heaps compact.
-//   - Zero-delay events (process turns, wakes, gate grants — the
-//     dominant event kind) bypass the heaps entirely through a FIFO fast
-//     lane: they fire at the current time in scheduling order, so a
-//     plain queue preserves the (time, seq) contract.
-//
-// Slot occupancy is keyed by the event's globally unique sequence
-// number: a lane or heap entry or Timer whose seq no longer matches its
-// slot is stale (fired, cancelled, or the slot was recycled) and is
-// ignored.
-
-// eventSlot is one pooled event record. karg packs the event kind (low
-// 3 bits) with its payload (the rest) — a task or completer index into
-// the kernel registries — so typed slots hold no pointers and
-// scheduling them crosses no write barrier; fn is populated only for
-// evClosure (the Kernel.At escape hatch). seq identifies the occupying
-// event (noEvent when the slot is free); next links vacant slots into
-// the free list.
-type eventSlot struct {
-	fn   func()
-	seq  uint64
-	next int32
-	karg int32
-}
+// An event is a plain value held whole in its lane or heap entry: its
+// time, its sequence number, and karg, the event kind (low 3 bits)
+// packed with its payload (the rest), a task or completer index into
+// the kernel registries. No event is ever cancelled: an interrupted
+// hold's wake stays queued and is dropped when it comes up
+// (Proc.holding). The package doc describes the queues.
 
 // Event kinds: every event the simulator schedules is one of these, and
-// Step dispatches on the kind with a single switch instead of an
-// indirect closure call. All payloads are registry indexes (see
-// Kernel.tasks/comps), so the hot kinds capture nothing. Kinds must fit
-// the low 3 bits of eventSlot.karg.
+// Step dispatches on the kind with a single switch. All payloads are
+// registry indexes (see Kernel.tasks/comps), so no event captures
+// anything. Kinds must fit the low 3 bits of karg.
 const (
-	// evClosure runs a user-supplied func(): the Kernel.At escape hatch.
-	evClosure uint8 = iota
+	// Kinds 0 and 3 are retired. The kinds that remain keep their
+	// values, which kernel trace records carry.
+	_ uint8 = iota
 	// evTurn runs one turn of a process (zero-delay resume). Turns only
-	// ever enter the lane, whose entry carries the task id (laneItem).
+	// ever enter the lane.
 	evTurn
-	// evWake delivers a hold's timed wake to the parked task in arg.
+	// evWake delivers a hold's timed wake to the task in arg, unless an
+	// interrupt already ended the hold.
 	evWake
-	// Kind 3 is retired. The kinds after it keep their values, which
-	// kernel trace records carry.
 	_
 	// evInterrupt calls Interrupt on the task in arg (deadline aborts).
 	evInterrupt
@@ -69,7 +41,6 @@ const (
 // The trace package names kernel event kinds by value; keep the two
 // enumerations aligned so Sink.Dispatch can pass kinds through raw (a
 // mismatch makes an index below non-zero and fails compilation).
-var _ = [1]struct{}{}[trace.KindClosure^evClosure]
 var _ = [1]struct{}{}[trace.KindTurn^evTurn]
 var _ = [1]struct{}{}[trace.KindWake^evWake]
 var _ = [1]struct{}{}[trace.KindInterrupt^evInterrupt]
@@ -85,64 +56,19 @@ type Completer interface {
 	Complete(direct bool)
 }
 
-// noEvent marks a vacant slot. Real sequence numbers are assigned from 0
-// upward and cannot reach it.
-const noEvent = ^uint64(0)
-
 // heapItem is one pending timed event: an entry of one of the kernel's
 // two heaps. Plain data (no pointers), ordered by (at, seq).
 type heapItem struct {
-	at  float64
-	seq uint64
-	id  int32
+	at   float64
+	seq  uint64
+	karg int32
 }
 
 // laneItem is one pending zero-delay event in the same-timestamp FIFO
-// fast lane. Its time is implicitly the kernel's current time. Turn
-// events (kind == evTurn) are slot-free: they cannot be cancelled, so
-// the lane entry itself is the whole event record and id is the task id.
-// Every other kind is slot-backed: id is a slot id, and a seq mismatch
-// against the slot marks the entry cancelled.
+// fast lane. Its time is implicitly the kernel's current time.
 type laneItem struct {
 	seq  uint64
-	id   int32
-	kind uint8
-}
-
-// Timer is a handle to a scheduled event that can be cancelled. The zero
-// value is a stopped timer.
-type Timer struct {
-	k   *Kernel
-	id  int32
-	seq uint64
-}
-
-// Stop cancels the timer. It reports whether the event had not yet
-// fired. The event's lane or heap entry becomes a stale tombstone,
-// skipped when it reaches the head of its queue.
-func (t *Timer) Stop() bool {
-	k := t.k
-	if k == nil {
-		return false
-	}
-	t.k = nil
-	return k.stopEvent(t.id, t.seq)
-}
-
-// stopEvent cancels the pending event identified by (id, seq),
-// reporting whether it had not yet fired. It backs both Timer.Stop and
-// the pointer-free hold-wake handle in Proc.
-func (k *Kernel) stopEvent(id int32, seq uint64) bool {
-	s := &k.slots[id]
-	if s.seq != seq {
-		return false // already fired or cancelled
-	}
-	k.freeSlot(id, s)
-	k.tombstone()
-	if k.sink != nil {
-		k.sink.Cancel(k.now, seq)
-	}
-	return true
+	karg int32
 }
 
 // Kernel is the simulation engine: a virtual clock plus an event queue.
@@ -150,30 +76,27 @@ func (k *Kernel) stopEvent(id int32, seq uint64) bool {
 type Kernel struct {
 	// Hot scalars first, so the scheduling fast paths touch one or two
 	// cache lines of the kernel itself.
-	now      float64
-	seq      uint64
-	steps    uint64 // events executed
-	freeHead int32  // vacant-slot list through slot.next (LIFO keeps hot slots cache-warm)
-	lhead    int    // first unconsumed lane index
-	dead     int    // cancellations since the heaps last compacted, less tombstones popped
+	now   float64
+	seq   uint64
+	steps uint64 // events executed
+	lhead int    // first unconsumed lane index
 
-	slots []eventSlot // pooled event records
-	lane  []laneItem  // FIFO of zero-delay events at the current time
-	heap  []heapItem  // 4-ary min-heap of timed events by (at, seq), see queue.go
-	dl    []heapItem  // the same for deadline aborts (AtInterrupt)
+	lane []laneItem // FIFO of zero-delay events at the current time
+	heap []heapItem // 4-ary min-heap of timed events by (at, seq), see queue.go
+	dl   []heapItem // the same for deadline aborts (AtInterrupt)
 
 	// Typed-event registries: tasks and completers are appended once (at
-	// spawn / construction) and addressed by index from event slots, so
-	// typed events store no pointers. Task ids are never recycled — late
+	// spawn / construction) and addressed by index from events, so
+	// events store no pointers. Task ids are never recycled — late
 	// events (deadline aborts) may outlive their process, and an id reuse
 	// would mis-target them — but a kernel only ever registers as many
 	// tasks as it spawns processes, so growth is bounded and tiny.
 	tasks []*Proc
 	comps []Completer
 
-	// sink, when non-nil, observes every dispatched event, timer
-	// cancel, and gate transition (see SetSink). Cold: checked, never
-	// written, on the hot paths.
+	// sink, when non-nil, observes every dispatched event, hold cancel,
+	// and gate transition (see SetSink). Cold: checked, never written,
+	// on the hot paths.
 	sink trace.Sink
 
 	// until is the until argument of the Run in progress (+Inf outside
@@ -188,14 +111,14 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{freeHead: -1, until: math.Inf(1)}
+	return &Kernel{until: math.Inf(1)}
 }
 
 // NewKernelIn returns a kernel whose process and frame allocations come
-// from arena a, and which adopts the slot pool, lane, heaps and registry
-// backing a retained from the previous replicate — a warm start. A nil
-// arena degrades to NewKernel. The arena owns at most one kernel at a
-// time: constructing a second before Arena.Reset panics.
+// from arena a, and which adopts the lane, heaps and registry backing a
+// retained from the previous replicate — a warm start. A nil arena
+// degrades to NewKernel. The arena owns at most one kernel at a time:
+// constructing a second before Arena.Reset panics.
 func NewKernelIn(a *Arena) *Kernel {
 	if a == nil {
 		return NewKernel()
@@ -204,10 +127,8 @@ func NewKernelIn(a *Arena) *Kernel {
 		panic("sim: arena already owns a live kernel; Reset it first")
 	}
 	k := SlabFor[Kernel](a).Alloc()
-	k.freeHead = -1
 	k.until = math.Inf(1)
 	k.arena = a
-	k.slots = a.slotBuf[:0]
 	k.lane = a.laneBuf[:0]
 	k.heap = a.heapBuf[:0]
 	k.dl = a.dlBuf[:0]
@@ -222,10 +143,10 @@ func NewKernelIn(a *Arena) *Kernel {
 func (k *Kernel) Arena() *Arena { return k.arena }
 
 // SetSink attaches a trace sink observing every dispatched event, every
-// successful timer cancel, and every gate-queue transition, or detaches
-// it when s is nil. The sink is a pure observer of the (time, seq)
-// stream: it must not schedule events or otherwise feed back into the
-// simulation, so runs are bit-identical with and without one (the
+// hold an interrupt cancels, and every gate-queue transition, or
+// detaches it when s is nil. The sink is a pure observer of the (time,
+// seq) stream: it must not schedule events or otherwise feed back into
+// the simulation, so runs are bit-identical with and without one (the
 // Sink-contract note in doc.go spells out the rules). Attach before
 // spawning processes so the sink sees every task's spawn name.
 func (k *Kernel) SetSink(s trace.Sink) {
@@ -275,16 +196,16 @@ func (k *Kernel) Elided() uint64 { return k.elided }
 // the queued path would have executed up to the caller's resumed turn.
 // Elide reports whether that completion is guaranteed to be the very
 // next event to fire: no trace sink is attached (a sink observes every
-// event), no live zero-delay lane entry is pending, the earliest timed
-// event lies strictly after at (an equal time carries a lower sequence
-// number and would win), and at does not pass the until of the Run in
-// progress. On true the clock is at at, Steps counts the skipped
-// events, and the caller applies the completion's effects and continues
-// in the same turn; on false nothing changed and the caller takes the
-// queued path. Callers must also require a positive service time and no
-// pending interrupt.
+// event), the zero-delay lane is empty, the earliest timed event lies
+// strictly after at (an equal time carries a lower sequence number and
+// would win), and at does not pass the until of the Run in progress.
+// On true the clock is at at, Steps counts the skipped events, and the
+// caller applies the completion's effects and continues in the same
+// turn; on false nothing changed and the caller takes the queued path.
+// Callers must also require a positive service time and no pending
+// interrupt.
 func (k *Kernel) Elide(at float64, events uint64) bool {
-	if k.sink != nil || at > k.until || k.skipStaleLane() {
+	if k.sink != nil || at > k.until || k.lhead < len(k.lane) {
 		return false
 	}
 	if it, _, ok := k.peek(); ok && it.at <= at {
@@ -299,64 +220,24 @@ func (k *Kernel) Elide(at float64, events uint64) bool {
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.procs }
 
-// freeSlot vacates a slot and recycles it onto the intrusive free list.
-// fn is cleared only when set — typed events never store one, so their
-// free crosses no write barrier.
-func (k *Kernel) freeSlot(id int32, s *eventSlot) {
-	if s.fn != nil {
-		s.fn = nil
-	}
-	s.seq = noEvent
-	s.next = k.freeHead
-	k.freeHead = id
-}
-
-// newSlot takes a slot from the pool and stamps it with a fresh
-// sequence number, the event kind, and its payload.
-func (k *Kernel) newSlot(kind uint8, arg int32) (int32, *eventSlot, uint64) {
-	id := k.freeHead
-	if id >= 0 {
-		k.freeHead = k.slots[id].next
-	} else {
-		k.slots = append(k.slots, eventSlot{})
-		id = int32(len(k.slots) - 1)
-	}
+// sched stamps an event of the given kind and payload with the next
+// sequence number, files it to fire after delay (≥ 0) simulated
+// seconds, and returns its sequence number. Events with equal times
+// fire in scheduling order, which keeps runs deterministic. A zero
+// delay goes to the fast lane: lane entries always fire before the
+// clock can advance (nothing can be scheduled earlier than now), so
+// their time needs no storage and no heap ordering. A positive delay
+// goes to the main heap.
+func (k *Kernel) sched(delay float64, kind uint8, arg int32) uint64 {
 	seq := k.seq
 	k.seq++
-	s := &k.slots[id]
-	s.seq = seq
-	s.karg = arg<<3 | int32(kind)
-	return id, s, seq
-}
-
-// sched files a freshly stamped slot into the queue after delay (≥ 0)
-// simulated seconds. Events with equal times fire in scheduling order,
-// which keeps runs deterministic. A zero delay goes to the fast lane:
-// lane entries always fire before the clock can advance (nothing can be
-// scheduled earlier than now), so their time needs no storage and no
-// heap ordering. A positive delay goes to the main heap.
-func (k *Kernel) sched(delay float64, id int32, s *eventSlot, seq uint64) {
+	karg := arg<<3 | int32(kind)
 	if delay == 0 {
-		k.lane = append(k.lane, laneItem{seq: seq, id: id, kind: uint8(s.karg & 7)})
-		return
+		k.lane = append(k.lane, laneItem{seq: seq, karg: karg})
+	} else {
+		k.heap = push(k.heap, heapItem{at: k.now + delay, seq: seq, karg: karg})
 	}
-	k.heap = push(k.heap, heapItem{at: k.now + delay, seq: seq, id: id})
-}
-
-// At schedules fn to run after delay simulated seconds and returns a
-// cancellable Timer. A negative or NaN delay panics: the past is
-// immutable, and a NaN time has no place in the (time, seq) order.
-// At is the closure escape hatch for ad-hoc events; everything the
-// simulator schedules on its hot paths uses the typed kinds instead.
-func (k *Kernel) At(delay float64, fn func()) Timer {
-	checkDelay(delay)
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	id, s, seq := k.newSlot(evClosure, 0)
-	s.fn = fn
-	k.sched(delay, id, s, seq)
-	return Timer{k: k, id: id, seq: seq}
+	return seq
 }
 
 // checkDelay panics unless delay is a valid wait: non-negative, and
@@ -367,60 +248,45 @@ func checkDelay(delay float64) {
 	}
 }
 
-// schedTurn schedules a zero-delay turn for a process. Turns cannot be
-// cancelled, so they are slot-free: the lane entry itself is the whole
-// event record, and scheduling one touches no slot at all. The body is
+// schedTurn schedules a zero-delay turn for a process. The body is
 // small enough to inline into deliverWake and Spawn.
 func (k *Kernel) schedTurn(p *Proc) {
 	seq := k.seq
 	k.seq++
-	k.lane = append(k.lane, laneItem{seq: seq, id: p.tid, kind: evTurn})
-}
-
-// schedWake arms the timed wake of a hold: deliverWake(false) on the
-// process after delay. It returns the (slot, seq) pair identifying the
-// event — the hold's cancel handle, pointer-free so storing it in the
-// process crosses no write barrier.
-func (k *Kernel) schedWake(delay float64, p *Proc) (int32, uint64) {
-	id, s, seq := k.newSlot(evWake, p.tid)
-	k.sched(delay, id, s, seq)
-	return id, seq
+	k.lane = append(k.lane, laneItem{seq: seq, karg: p.tid<<3 | int32(evTurn)})
 }
 
 // AtInterrupt schedules p.Interrupt() after delay simulated seconds
 // (firm-deadline aborts). Interrupting a finished process is a no-op,
-// so the timer may safely outlive its target. A positive delay files
+// so the event may safely outlive its target. A positive delay files
 // the event in the deadline heap, apart from the kernel's other timed
 // events. A negative or NaN delay panics.
-func (k *Kernel) AtInterrupt(delay float64, p *Proc) Timer {
+func (k *Kernel) AtInterrupt(delay float64, p *Proc) {
 	checkDelay(delay)
-	id, s, seq := k.newSlot(evInterrupt, p.tid)
 	if delay == 0 {
-		k.sched(0, id, s, seq)
-	} else {
-		k.dl = push(k.dl, heapItem{at: k.now + delay, seq: seq, id: id})
+		k.sched(0, evInterrupt, p.tid)
+		return
 	}
-	return Timer{k: k, id: id, seq: seq}
+	k.dl = push(k.dl, heapItem{at: k.now + delay, seq: k.seq, karg: p.tid<<3 | int32(evInterrupt)})
+	k.seq++
 }
 
 // AtComplete schedules a service completion: after delay, the completer
-// registered under comp finishes its direct or queued service. Service
-// sections are uncancellable, so no Timer is built. A negative or NaN
-// delay panics.
+// registered under comp finishes its direct or queued service. A
+// negative or NaN delay panics.
 func (k *Kernel) AtComplete(delay float64, comp int32, direct bool) {
 	checkDelay(delay)
 	kind := evCompleteQ
 	if direct {
 		kind = evComplete
 	}
-	id, s, seq := k.newSlot(kind, comp)
-	k.sched(delay, id, s, seq)
+	k.sched(delay, kind, comp)
 }
 
 // Ride is the handle of a caller parked on a direct service completion
 // by AtCompleteRide: the process and the sequence number reserved for its
-// wake. It holds no pointer. No armed ride carries sequence number 0
-// (the completion it rides on takes an earlier one), so the zero Ride
+// wake. It holds no pointer. No hold's wake carries sequence number 0
+// (the process's spawn turn took an earlier one), so the zero Ride
 // delivers nothing.
 type Ride struct {
 	seq uint64
@@ -433,28 +299,31 @@ type Ride struct {
 // would fire at the same time with the very next sequence number, so no
 // event could ever come between the two. The completion therefore
 // delivers the wake itself, via DeliverRide, and no second event is
-// queued. The caller's wait stays a cancellable hold: an interrupt
+// queued: the ride reserves the sequence number that wake would have
+// taken. The caller's wait is a hold like any other: an interrupt
 // resumes it at once and reports the reserved sequence number to the
-// sink as a cancel, as stopping the hold timer would. entered is false
-// when a pending interrupt consumed the wait; the completion is
-// scheduled either way.
+// sink as a cancel. entered is false when a pending interrupt consumed
+// the wait; the completion is scheduled either way.
 func (k *Kernel) AtCompleteRide(delay float64, comp int32, p *Proc) (r Ride, entered bool) {
 	k.AtComplete(delay, comp, true)
-	if !p.startRide() {
+	if p.takePendingInterrupt() {
 		return Ride{}, false
 	}
+	p.holdSeq = k.seq
+	k.seq++
+	p.cancel = cancelHold
 	return Ride{seq: p.holdSeq, tid: p.tid}, true
 }
 
-// DeliverRide delivers the wake of ride r if its hold is still armed:
-// the process sits in that very ride (same kind, same sequence number).
-// The wake counts as a step and reaches the sink as the same evWake
-// dispatch the timed wake event would have produced. A ride whose wait
-// an interrupt ended delivers nothing. Completers call it after their
-// own completion effects, where the wake event would have fired.
+// DeliverRide delivers the wake of ride r if its hold is still armed,
+// under the same test a timed wake passes (Proc.holding). The wake
+// counts as a step and reaches the sink as the same evWake dispatch the
+// timed wake event would have produced. A ride whose wait an interrupt
+// ended delivers nothing. Completers call it after their own completion
+// effects, where the wake event would have fired.
 func (k *Kernel) DeliverRide(r Ride) {
 	p := k.tasks[r.tid]
-	if p.state != procParked || p.cancel != cancelRide || p.holdSeq != r.seq {
+	if !p.holding(r.seq) {
 		return
 	}
 	k.steps++
@@ -462,23 +331,6 @@ func (k *Kernel) DeliverRide(r Ride) {
 		k.sink.Dispatch(k.now, r.seq, evWake, r.tid)
 	}
 	p.deliverWake(false)
-}
-
-// skipStaleLane advances past cancelled entries at the lane head,
-// reporting whether a live lane event is pending. Turn entries are
-// slot-free and uncancellable, so they are always live.
-func (k *Kernel) skipStaleLane() bool {
-	for k.lhead < len(k.lane) {
-		l := k.lane[k.lhead]
-		if l.kind == evTurn || k.slots[l.id].seq == l.seq {
-			return true
-		}
-		k.lhead++
-	}
-	if len(k.lane) > 0 {
-		k.resetLane()
-	}
-	return false
 }
 
 // laneShrinkCap bounds the lane capacity kept across a full drain: a
@@ -500,23 +352,27 @@ func (k *Kernel) resetLane() {
 	k.lhead = 0
 }
 
-// Step executes the next pending event — the live event earliest in
-// (time, seq) order — advancing the clock. It reports whether an event
-// was executed.
+// Step executes the next pending event — the event earliest in (time,
+// seq) order — advancing the clock. It reports whether it consumed an
+// event. That event may be the wake of a hold an interrupt already
+// ended: Step then reports true, although nothing fired, no step was
+// counted and the clock did not move.
 func (k *Kernel) Step() bool { return k.step(inf) }
 
 // inf is the until of a Step. Read from a variable, it keeps Step cheap
 // enough for the compiler to inline, where math.Inf(1) would not.
 var inf = math.Inf(1)
 
-// step executes the next pending event if its time is at most until,
+// step consumes the next pending event if its time is at most until,
 // and reports whether it did. Selection and dispatch live in one
 // function on purpose: Run and Step both loop on it, so each event is
 // selected once, and splitting either half out would cost a call on
 // the hottest loop in the simulator.
 func (k *Kernel) step(until float64) bool {
-	var id int32
-	if k.skipStaleLane() {
+	at := k.now
+	var seq uint64
+	var karg int32
+	if k.lhead < len(k.lane) {
 		if k.now > until {
 			return false
 		}
@@ -527,47 +383,40 @@ func (k *Kernel) step(until float64) bool {
 		// instant).
 		if it, h, ok := k.peek(); ok && it.at == k.now && it.seq < l.seq {
 			*h = popRoot(*h)
-			id = it.id
+			seq, karg = it.seq, it.karg
 		} else {
-			// Lane head wins: consume it. Turn entries carry their
-			// payload in the lane item itself — no slot to read or
-			// vacate.
 			k.lhead++
 			if k.lhead == len(k.lane) {
 				k.resetLane()
 			}
-			if l.kind == evTurn {
+			if uint8(l.karg&7) == evTurn {
 				k.steps++
 				if k.sink != nil {
-					k.sink.Dispatch(k.now, l.seq, evTurn, l.id)
+					k.sink.Dispatch(k.now, l.seq, evTurn, l.karg>>3)
 				}
-				k.tasks[l.id].runTurn()
+				k.tasks[l.karg>>3].runTurn()
 				return true
 			}
-			id = l.id
+			seq, karg = l.seq, l.karg
 		}
 	} else if it, h, ok := k.peek(); ok && it.at <= until {
 		*h = popRoot(*h)
-		k.now = it.at
-		id = it.id
+		at, seq, karg = it.at, it.seq, it.karg
 	} else {
 		return false
 	}
-	// Typed dispatch: vacate the slot, count the step, switch on the
-	// event kind. Typed payloads devirtualize to direct method calls on
-	// registry entries; only evClosure pays an indirect call.
-	s := &k.slots[id]
-	karg, fn := s.karg, s.fn
-	if k.sink != nil {
-		k.sink.Dispatch(k.now, s.seq, uint8(karg&7), karg>>3)
+	kind, arg := uint8(karg&7), karg>>3
+	if kind == evWake && !k.tasks[arg].holding(seq) {
+		return true // an interrupt ended this hold: drop its wake
 	}
-	k.freeSlot(id, s)
+	k.now = at
 	k.steps++
-	switch arg := karg >> 3; uint8(karg & 7) {
+	if k.sink != nil {
+		k.sink.Dispatch(at, seq, kind, arg)
+	}
+	switch kind {
 	case evWake:
 		k.tasks[arg].deliverWake(false)
-	case evClosure:
-		fn()
 	case evInterrupt:
 		k.tasks[arg].Interrupt()
 	case evComplete:

@@ -6,12 +6,23 @@ import (
 	"testing"
 )
 
+// at schedules fn after delay simulated seconds, as simtest.At does
+// for the packages built on this one (simtest imports sim).
+func at(k *Kernel, delay float64, fn func()) {
+	k.AtComplete(delay, k.RegisterCompleter(completerFunc(fn)), true)
+}
+
+// completerFunc is a Completer that runs a function.
+type completerFunc func()
+
+func (f completerFunc) Complete(bool) { f() }
+
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(2, func() { order = append(order, 2) })
-	k.At(1, func() { order = append(order, 1) })
-	k.At(3, func() { order = append(order, 3) })
+	at(k, 2, func() { order = append(order, 2) })
+	at(k, 1, func() { order = append(order, 1) })
+	at(k, 3, func() { order = append(order, 3) })
 	k.Drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events out of order: %v", order)
@@ -26,7 +37,7 @@ func TestKernelFIFOTies(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		at(k, 5, func() { order = append(order, i) })
 	}
 	k.Drain()
 	for i, v := range order {
@@ -39,9 +50,9 @@ func TestKernelFIFOTies(t *testing.T) {
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.At(1, func() { fired++ })
-	k.At(2, func() { fired++ })
-	k.At(3, func() { fired++ })
+	at(k, 1, func() { fired++ })
+	at(k, 2, func() { fired++ })
+	at(k, 3, func() { fired++ })
 	k.Run(2)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2 (event at exactly `until` must run)", fired)
@@ -59,137 +70,77 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	tm := k.At(1, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending timer should report true")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop should report false")
-	}
-	k.Drain()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	k := NewKernel()
-	tm := k.At(1, func() {})
-	k.Drain()
-	if tm.Stop() {
-		t.Fatal("Stop after firing should report false")
-	}
-}
-
-func TestTimerStaleAfterSlotReuse(t *testing.T) {
-	k := NewKernel()
-	var fired []string
-	t1 := k.At(1, func() { fired = append(fired, "a") })
-	if !t1.Stop() {
-		t.Fatal("first Stop should report true")
-	}
-	// The cancelled event's slot is recycled by the next At; the old
-	// timer and the old queue tombstone must not affect the new event.
-	t2 := k.At(2, func() { fired = append(fired, "b") })
-	if t1.Stop() {
-		t.Fatal("stale timer Stop should report false after slot reuse")
-	}
-	k.Drain()
-	if len(fired) != 1 || fired[0] != "b" {
-		t.Fatalf("fired %v, want [b]", fired)
-	}
-	if t2.Stop() {
-		t.Fatal("Stop after firing should report false")
-	}
-}
-
-func TestTimerZeroValue(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Fatal("zero-value timer Stop should report false")
-	}
-}
-
 func TestZeroDelayOrdersAfterEqualTimeHeapEvents(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.At(5, func() {
+	at(k, 5, func() {
 		order = append(order, "a")
 		// Scheduled inside the tick at t=5: must run after the heap
 		// event "b" that was scheduled for t=5 long before it.
-		k.At(0, func() { order = append(order, "c") })
+		at(k, 0, func() { order = append(order, "c") })
 	})
-	k.At(5, func() { order = append(order, "b") })
+	at(k, 5, func() { order = append(order, "b") })
 	k.Drain()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order %v, want [a b c]", order)
 	}
 }
 
+// TestCancelledZeroDelaySkipped: a zero-delay hold files its wake in
+// the lane, and an interrupt in the same instant ends the hold before
+// the wake comes up. The lane drops the wake, firing nothing and
+// counting no step, and the zero-delay event queued behind it fires.
 func TestCancelledZeroDelaySkipped(t *testing.T) {
 	k := NewKernel()
-	fired := 0
-	tm := k.At(0, func() { fired++ })
-	k.At(0, func() { fired += 10 })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending zero-delay event should report true")
-	}
+	var resumed []bool
+	p := spawnSteps(k, "holder", hold(0), then(func(_ *Proc, ok bool) { resumed = append(resumed, ok) }))
+	k.Step() // spawn turn: the wake of hold(0) enters the lane
+	fired := false
+	at(k, 0, func() { fired = true })
+	p.Interrupt()
 	k.Drain()
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10 (cancelled lane event must be skipped)", fired)
+	if !fired || len(resumed) != 1 || resumed[0] {
+		t.Fatalf("fired=%v resumed=%v; want true [false]", fired, resumed)
+	}
+	// Spawn turn, the event, and the turn the interrupt scheduled.
+	if k.Steps() != 3 || k.Now() != 0 {
+		t.Fatalf("steps=%d now=%g; want 3, 0 (the dropped wake counts no step)", k.Steps(), k.Now())
 	}
 }
 
 func TestKernelChurnOrdering(t *testing.T) {
-	// Heavily mixed schedule/cancel traffic must still fire live events
-	// in exact (time, seq) order across the pooled heap and fast lane.
+	// Heavily mixed schedule traffic must fire every event in exact
+	// (time, seq) order.
 	k := NewKernel()
 	type ev struct{ at, idx int }
 	var fired []ev
-	var timers []Timer
 	idx := 0
 	for round := 0; round < 50; round++ {
 		for j := 0; j < 10; j++ {
-			at := (round*7+j*3)%23 + 1
+			when := (round*7+j*3)%23 + 1
 			i := idx
-			timers = append(timers, k.At(float64(at), func() { fired = append(fired, ev{at, i}) }))
+			at(k, float64(when), func() { fired = append(fired, ev{when, i}) })
 			idx++
 		}
 	}
-	for i := range timers {
-		if i%3 == 0 {
-			timers[i].Stop()
-		}
-	}
 	k.Drain()
-	if len(fired) == 0 {
-		t.Fatal("nothing fired")
-	}
 	for i := 1; i < len(fired); i++ {
 		a, b := fired[i-1], fired[i]
 		if a.at > b.at || (a.at == b.at && a.idx > b.idx) {
 			t.Fatalf("out of order at %d: %+v before %+v", i, a, b)
 		}
 	}
-	for _, e := range fired {
-		if e.idx%3 == 0 {
-			t.Fatalf("cancelled event %d fired", e.idx)
-		}
-	}
-	if want := 500 - (500+2)/3; len(fired) != want {
-		t.Fatalf("fired %d events, want %d", len(fired), want)
+	if len(fired) != 500 {
+		t.Fatalf("fired %d events, want 500", len(fired))
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var times []float64
-	k.At(1, func() {
+	at(k, 1, func() {
 		times = append(times, k.Now())
-		k.At(1, func() { times = append(times, k.Now()) })
+		at(k, 1, func() { times = append(times, k.Now()) })
 	})
 	k.Drain()
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
@@ -208,7 +159,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 		name string
 		call func(d float64)
 	}{
-		{"At", func(d float64) { k.At(d, func() {}) }},
 		{"AtInterrupt", func(d float64) { k.AtInterrupt(d, task) }},
 		{"AtComplete", func(d float64) { k.AtComplete(d, 0, true) }},
 		{"StartHold", func(d float64) { task.StartHold(d) }},
@@ -230,22 +180,22 @@ func TestNegativeDelayPanics(t *testing.T) {
 
 func TestHoldAdvancesTime(t *testing.T) {
 	k := NewKernel()
-	var at []float64
+	var ends []float64
 	var steps []step
 	for i := 0; i < 3; i++ {
 		steps = append(steps, hold(1.5), then(func(p *Proc, ok bool) {
 			if !ok {
 				t.Error("unexpected interrupt")
 			}
-			at = append(at, p.Now())
+			ends = append(ends, p.Now())
 		}))
 	}
 	spawnSteps(k, "holder", steps...)
 	k.Drain()
 	want := []float64{1.5, 3.0, 4.5}
 	for i := range want {
-		if math.Abs(at[i]-want[i]) > 1e-12 {
-			t.Fatalf("hold times %v, want %v", at, want)
+		if math.Abs(ends[i]-want[i]) > 1e-12 {
+			t.Fatalf("hold times %v, want %v", ends, want)
 		}
 	}
 	if k.LiveProcs() != 0 {
@@ -289,7 +239,7 @@ func TestParkWake(t *testing.T) {
 		}
 		woke = true
 	}))
-	k.At(5, func() { p.Wake() })
+	at(k, 5, func() { p.Wake() })
 	k.Drain()
 	if !woke {
 		t.Fatal("process never woke")
@@ -308,10 +258,44 @@ func TestInterruptDuringHold(t *testing.T) {
 		}
 		interruptedAt = p.Now()
 	}))
-	k.At(7, func() { p.Interrupt() })
+	at(k, 7, func() { p.Interrupt() })
 	k.Drain()
 	if interruptedAt != 7 {
 		t.Fatalf("interrupted at %g, want 7", interruptedAt)
+	}
+}
+
+// TestInterruptedHoldWakeDropped: an interrupt ends a hold at once and
+// leaves its wake queued. When the wake comes up, the process waits in
+// a later hold whose wake has another sequence number, so the stale
+// wake is dropped: it fires nothing, reaches no sink, counts no step
+// and does not move the clock, and the later hold runs its full length.
+func TestInterruptedHoldWakeDropped(t *testing.T) {
+	k := NewKernel()
+	var wakes, cancels int
+	k.SetSink(&hookSink{
+		dispatch: func(_ float64, _ uint64, kind uint8, _ int32) {
+			if kind == evWake {
+				wakes++
+			}
+		},
+		cancel: func(uint64) { cancels++ },
+	})
+	var ends []float64
+	var oks []bool
+	record := then(func(p *Proc, ok bool) {
+		ends = append(ends, p.Now())
+		oks = append(oks, ok)
+	})
+	p := spawnSteps(k, "holder", hold(5), record, hold(10), record)
+	at(k, 1, func() { p.Interrupt() })
+	k.Drain()
+	if len(ends) != 2 || ends[0] != 1 || oks[0] || ends[1] != 11 || !oks[1] {
+		t.Fatalf("holds ended at %v with ok %v; want [1 11] and [false true]", ends, oks)
+	}
+	// Spawn turn, interrupt, its turn, the second hold's wake, its turn.
+	if wakes != 1 || cancels != 1 || k.Steps() != 5 {
+		t.Fatalf("wakes=%d cancels=%d steps=%d; want 1, 1, 5", wakes, cancels, k.Steps())
 	}
 }
 
@@ -319,7 +303,7 @@ func TestInterruptDuringPark(t *testing.T) {
 	k := NewKernel()
 	got := make(chan bool, 1)
 	p := spawnSteps(k, "victim", park(), then(func(_ *Proc, ok bool) { got <- ok }))
-	k.At(1, func() { p.Interrupt() })
+	at(k, 1, func() { p.Interrupt() })
 	k.Drain()
 	if ok := <-got; ok {
 		t.Fatal("park should report interruption")
@@ -341,7 +325,7 @@ func TestWakeDoubleDeliverOnce(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	p := spawnSteps(k, "sleeper", park(), then(func(*Proc, bool) { count++ }))
-	k.At(1, func() { p.Wake(); p.Wake() })
+	at(k, 1, func() { p.Wake(); p.Wake() })
 	k.Drain()
 	if count != 1 {
 		t.Fatalf("process resumed %d times, want 1", count)
@@ -357,7 +341,7 @@ func TestWakeDoesNotDisturbHold(t *testing.T) {
 		}
 		resumedAt = p.Now()
 	}))
-	k.At(1, func() { p.Wake() }) // must be a no-op: Wake only ends Park
+	at(k, 1, func() { p.Wake() }) // must be a no-op: Wake only ends Park
 	k.Drain()
 	if resumedAt != 10 {
 		t.Fatalf("hold ended at %g, want 10 (Wake must not cut holds short)", resumedAt)

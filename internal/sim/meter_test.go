@@ -9,8 +9,8 @@ import (
 func TestBusyMeterBasics(t *testing.T) {
 	k := NewKernel()
 	m := NewBusyMeter(k)
-	k.At(1, func() { m.SetBusy(true) })
-	k.At(4, func() { m.SetBusy(false) })
+	at(k, 1, func() { m.SetBusy(true) })
+	at(k, 4, func() { m.SetBusy(false) })
 	k.Run(10)
 	if got := m.BusyTime(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("busy time %g, want 3", got)
@@ -23,10 +23,10 @@ func TestBusyMeterBasics(t *testing.T) {
 func TestBusyMeterRedundantTransitions(t *testing.T) {
 	k := NewKernel()
 	m := NewBusyMeter(k)
-	k.At(1, func() { m.SetBusy(true) })
-	k.At(2, func() { m.SetBusy(true) }) // no-op
-	k.At(3, func() { m.SetBusy(false) })
-	k.At(4, func() { m.SetBusy(false) }) // no-op
+	at(k, 1, func() { m.SetBusy(true) })
+	at(k, 2, func() { m.SetBusy(true) }) // no-op
+	at(k, 3, func() { m.SetBusy(false) })
+	at(k, 4, func() { m.SetBusy(false) }) // no-op
 	k.Run(5)
 	if got := m.BusyTime(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("busy time %g, want 2", got)
@@ -36,7 +36,7 @@ func TestBusyMeterRedundantTransitions(t *testing.T) {
 func TestBusyMeterOpenInterval(t *testing.T) {
 	k := NewKernel()
 	m := NewBusyMeter(k)
-	k.At(2, func() { m.SetBusy(true) })
+	at(k, 2, func() { m.SetBusy(true) })
 	k.Run(10)
 	if !m.Busy() {
 		t.Fatal("should still be busy")
@@ -49,8 +49,8 @@ func TestBusyMeterOpenInterval(t *testing.T) {
 func TestTimeWeightedAverage(t *testing.T) {
 	k := NewKernel()
 	tw := NewTimeWeighted(k)
-	k.At(0, func() { tw.Set(2) })
-	k.At(5, func() { tw.Set(4) })
+	at(k, 0, func() { tw.Set(2) })
+	at(k, 5, func() { tw.Set(4) })
 	k.Run(10)
 	// 2 for 5s, 4 for 5s: average 3.
 	if got := tw.Average(0, 0); math.Abs(got-3) > 1e-12 {
@@ -64,10 +64,10 @@ func TestTimeWeightedAverage(t *testing.T) {
 func TestTimeWeightedWindow(t *testing.T) {
 	k := NewKernel()
 	tw := NewTimeWeighted(k)
-	k.At(0, func() { tw.Set(10) })
+	at(k, 0, func() { tw.Set(10) })
 	k.Run(5)
 	start, area0 := k.Now(), tw.Area()
-	k.At(0, func() { tw.Set(20) })
+	at(k, 0, func() { tw.Set(20) })
 	k.Run(10)
 	if got := tw.Average(start, area0); math.Abs(got-20) > 1e-12 {
 		t.Fatalf("window average %g, want 20", got)
@@ -102,8 +102,7 @@ func TestTimeWeightedBoundsProperty(t *testing.T) {
 			if lvl > hi {
 				hi = lvl
 			}
-			at := float64(i + 1)
-			k.At(at, func() { tw.Set(lvl) })
+			at(k, float64(i+1), func() { tw.Set(lvl) })
 		}
 		k.Run(float64(len(levels) + 5))
 		avg := tw.Average(1, 0) // from the first change

@@ -30,9 +30,9 @@ func newTickPart(id int, period, interval float64) *tickPart {
 	var tick func()
 	tick = func() {
 		p.bump(p.k.Now())
-		p.k.At(period, tick)
+		at(p.k, period, tick)
 	}
-	p.k.At(period, tick)
+	at(p.k, period, tick)
 	return p
 }
 
@@ -290,9 +290,9 @@ func TestCoordinatorStressWindows(t *testing.T) {
 			w := window
 			for _, p := range parts {
 				for n := rng.Intn(100); n > 0; n-- {
-					p.k.At(rng.Float64()*(bound-now), func() {})
+					at(p.k, rng.Float64()*(bound-now), func() {})
 				}
-				p.k.At(bound-now, func() {
+				at(p.k, bound-now, func() {
 					p.ran = append(p.ran, stressRun{w, p.k.Now()})
 					p.inside.Add(-1)
 				})

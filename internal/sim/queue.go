@@ -9,19 +9,6 @@ package sim
 // which is the exact total order every event fires in. Sequence
 // numbers are unique, so no two entries compare equal and the pop
 // order does not depend on either heap's shape.
-//
-// Cancellation is lazy. Timer.Stop vacates the event's slot, which
-// leaves the heap entry a tombstone: its seq no longer matches the
-// slot's. A tombstone is dropped when it reaches a root, and both heaps
-// compact in place once tombstones outnumber live entries, so a
-// cancel-heavy schedule cannot grow them without bound. k.dead never
-// falls below the number of tombstones in the heaps, so while it is
-// zero a root is live without a look at its slot.
-
-// compactMin is the fewest entries, across both heaps, that compaction
-// rewrites: below it, tombstones cost less than the pass that would
-// drop them.
-const compactMin = 32
 
 // heapLess orders pending events by time, then scheduling sequence.
 func heapLess(a, b heapItem) bool {
@@ -44,27 +31,19 @@ func push(h []heapItem, it heapItem) []heapItem {
 	return h
 }
 
-// peek returns the earliest live timed event without consuming it,
-// and the heap whose root it is; the caller pops it with popRoot.
-// Tombstones found at a root are dropped on the way. ok is false when
-// no timed event is pending.
+// peek returns the earliest timed event without consuming it, and the
+// heap whose root it is; the caller pops it with popRoot. ok is false
+// when no timed event is pending.
 func (k *Kernel) peek() (it heapItem, h *[]heapItem, ok bool) {
-	for {
-		switch {
-		case len(k.dl) > 0 && (len(k.heap) == 0 || heapLess(k.dl[0], k.heap[0])):
-			h = &k.dl
-		case len(k.heap) > 0:
-			h = &k.heap
-		default:
-			return heapItem{}, nil, false
-		}
-		it = (*h)[0]
-		if k.dead == 0 || k.slots[it.id].seq == it.seq {
-			return it, h, true
-		}
-		*h = popRoot(*h)
-		k.dead--
+	switch {
+	case len(k.dl) > 0 && (len(k.heap) == 0 || heapLess(k.dl[0], k.heap[0])):
+		h = &k.dl
+	case len(k.heap) > 0:
+		h = &k.heap
+	default:
+		return heapItem{}, nil, false
 	}
+	return (*h)[0], h, true
 }
 
 // popRoot removes the root of heap h and returns the shrunk heap.
@@ -100,36 +79,4 @@ func siftDown(h []heapItem, i int, it heapItem) {
 		i = m
 	}
 	h[i] = it
-}
-
-// tombstone counts a cancelled event and compacts both heaps once
-// tombstones outnumber live entries, so the cost is O(1) amortized per
-// cancellation. The count includes cancelled zero-delay lane entries,
-// which the lane skips on its own; they only bring a compaction
-// forward, and until one runs they keep the root reads checking slots.
-func (k *Kernel) tombstone() {
-	k.dead++
-	if n := len(k.heap) + len(k.dl); k.dead*2 > n && n >= compactMin {
-		k.heap = k.compact(k.heap)
-		k.dl = k.compact(k.dl)
-		k.dead = 0
-	}
-}
-
-// compact drops every tombstone from heap h in place, restores the
-// heap property and returns the shrunk heap.
-func (k *Kernel) compact(h []heapItem) []heapItem {
-	live := h[:0]
-	for _, it := range h {
-		if k.slots[it.id].seq == it.seq {
-			live = append(live, it)
-		}
-	}
-	if len(live) < 2 {
-		return live
-	}
-	for i := (len(live) - 2) / 4; i >= 0; i-- { // from the last parent up
-		siftDown(live, i, live[i])
-	}
-	return live
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,9 +9,9 @@ import (
 
 // TestTimedOrderConformance is a randomized stress of the full event
 // queue against a reference model: events with delays spanning twelve
-// orders of magnitude, a third of them cancelled, must fire in exactly
-// the (time, seq) order a sorted list predicts. This exercises heap
-// ordering, equal-time ties and tombstone sweeps together.
+// orders of magnitude must fire in exactly the (time, seq) order a
+// sorted list predicts. This exercises heap ordering and equal-time
+// ties together.
 func TestTimedOrderConformance(t *testing.T) {
 	type ref struct {
 		at  float64
@@ -22,9 +23,7 @@ func TestTimedOrderConformance(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		k := NewKernel()
 		var fired []int
-		var model []ref
-		var timers []Timer
-		seq := 0
+		var want []ref
 		n := 100 + rng.Intn(200)
 		var delays []float64
 		for i := 0; i < n; i++ {
@@ -37,24 +36,9 @@ func TestTimedOrderConformance(t *testing.T) {
 				d = mags[rng.Intn(len(mags))] * (0.5 + rng.Float64())
 			}
 			delays = append(delays, d)
-			at := d // scheduled from time 0
-			id := seq
-			timers = append(timers, k.At(d, func() { fired = append(fired, id) }))
-			model = append(model, ref{at: at, seq: id})
-			seq++
-		}
-		cancelled := map[int]bool{}
-		for i := range timers {
-			if rng.Intn(3) == 0 {
-				timers[i].Stop()
-				cancelled[i] = true
-			}
-		}
-		var want []ref
-		for _, m := range model {
-			if !cancelled[m.seq] {
-				want = append(want, m)
-			}
+			id := i
+			at(k, d, func() { fired = append(fired, id) })
+			want = append(want, ref{at: d, seq: id}) // scheduled from time 0
 		}
 		sort.Slice(want, func(a, b int) bool {
 			if want[a].at != want[b].at {
@@ -77,30 +61,26 @@ func TestTimedOrderConformance(t *testing.T) {
 // TestEqualTimeSeqOrder pins sequence order among equal-time events
 // that later-scheduled earlier events overtake: two events with the
 // exact same time are pending when two earlier ones arrive, and the
-// pair must still fire in sequence order after them. A cancelled
-// event's tombstone is consumed on the way.
+// pair must still fire in sequence order after them.
 func TestEqualTimeSeqOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	at := func(d float64, id int) { k.At(d, func() { order = append(order, id) }) }
-	// Two early events, then two events a second later.
-	at(0.1, 0)
-	at(0.2, 1)
-	at(1.05, 2)
-	e3 := k.At(1.07, func() { order = append(order, 3) })
+	sched := func(d float64, id int) { at(k, d, func() { order = append(order, id) }) }
+	// Three early events.
+	sched(0.1, 0)
+	sched(0.2, 1)
+	sched(1.05, 2)
 	k.Step() // 0
 	k.Step() // 1
 	k.Step() // 2
-	e3.Stop()
-	k.Step() // drops the tombstone, fires nothing
-	// Two equal-time events (4 has the earlier seq)…
-	at(0.005, 4)
-	at(0.005, 5)
+	// Two equal-time events (3 has the earlier seq)…
+	sched(0.005, 3)
+	sched(0.005, 4)
 	// …and two earlier events scheduled after them.
-	at(0.001, 6)
-	at(0.002, 7)
+	sched(0.001, 5)
+	sched(0.002, 6)
 	k.Drain()
-	want := []int{0, 1, 2, 6, 7, 4, 5}
+	want := []int{0, 1, 2, 5, 6, 3, 4}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -117,14 +97,14 @@ func TestEqualTimeSeqOrder(t *testing.T) {
 func TestNestedMixedScheduling(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.At(100, func() {
+	at(k, 100, func() {
 		order = append(order, "a")
-		k.At(0.001, func() { order = append(order, "a+eps") })
-		k.At(0.5, func() { order = append(order, "a+0.5") })
-		k.At(50000, func() { order = append(order, "a+50000") })
+		at(k, 0.001, func() { order = append(order, "a+eps") })
+		at(k, 0.5, func() { order = append(order, "a+0.5") })
+		at(k, 50000, func() { order = append(order, "a+50000") })
 	})
-	k.At(100.25, func() { order = append(order, "b") })
-	k.At(101, func() { order = append(order, "c") })
+	at(k, 100.25, func() { order = append(order, "b") })
+	at(k, 101, func() { order = append(order, "c") })
 	k.Drain()
 	want := []string{"a", "a+eps", "b", "a+0.5", "c", "a+50000"}
 	if len(order) != len(want) {
@@ -138,41 +118,17 @@ func TestNestedMixedScheduling(t *testing.T) {
 }
 
 // TestFarFutureOrdering pins events ~160 simulated years ahead: they
-// fire in time order after every near event, and a cancelled one never
-// fires even once the clock reaches its neighborhood.
+// fire in time order after every near event.
 func TestFarFutureOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.At(5e9, func() { order = append(order, "far-b") })
-	k.At(4.9e9, func() { order = append(order, "far-a") })
-	tm := k.At(4.95e9, func() { order = append(order, "far-cancelled") })
-	k.At(1, func() { order = append(order, "near") })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending far event should report true")
-	}
+	at(k, 5e9, func() { order = append(order, "far-b") })
+	at(k, 4.9e9, func() { order = append(order, "far-a") })
+	at(k, 1, func() { order = append(order, "near") })
 	k.Drain()
 	want := []string{"near", "far-a", "far-b"}
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Fatalf("order %v, want %v", order, want)
-	}
-}
-
-// TestFarHeapCompaction cancels far-future events in bulk and checks
-// that the periodic compaction actually bounds the heap's tombstones.
-func TestFarHeapCompaction(t *testing.T) {
-	k := NewKernel()
-	fn := func() {}
-	for i := 0; i < 1000; i++ {
-		tm := k.At(5e9+float64(i), fn)
-		tm.Stop()
-	}
-	if len(k.heap) > 2*compactMin {
-		t.Fatalf("heap holds %d entries after cancelling all; compaction failed", len(k.heap))
-	}
-	k.At(6e9, fn)
-	k.Drain()
-	if k.Now() != 6e9 {
-		t.Fatalf("clock = %g, want 6e9", k.Now())
 	}
 }
 
@@ -182,10 +138,10 @@ func TestFarHeapCompaction(t *testing.T) {
 func TestEqualTimeNestedInsert(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(256, func() { order = append(order, 0) })
+	at(k, 256, func() { order = append(order, 0) })
 	// 255.9 + 0.1 rounds to exactly 256.
-	k.At(255.9, func() {
-		k.At(0.1, func() { order = append(order, 1) })
+	at(k, 255.9, func() {
+		at(k, 0.1, func() { order = append(order, 1) })
 	})
 	k.Drain()
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
@@ -193,23 +149,18 @@ func TestEqualTimeNestedInsert(t *testing.T) {
 	}
 }
 
-// TestDescendingInsertCancel schedules a burst of timers in
-// descending-time order, each one the new earliest, then cancels the
-// two earliest: the rest fire in time order.
+// TestDescendingInsertCancel schedules a burst of events in
+// descending-time order, each one the new earliest: they fire in time
+// order.
 func TestDescendingInsertCancel(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	var timers []Timer
 	for i := 0; i < 10; i++ {
-		at := float64(10 - i)
 		id := i
-		timers = append(timers, k.At(at, func() { order = append(order, id) }))
+		at(k, float64(10-i), func() { order = append(order, id) })
 	}
-	// Cancel the two earliest events.
-	timers[9].Stop() // at=1
-	timers[8].Stop() // at=2
 	k.Drain()
-	want := []int{7, 6, 5, 4, 3, 2, 1, 0} // at=3..10 in time order
+	want := []int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0} // at=1..10 in time order
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -226,17 +177,17 @@ func TestDescendingInsertCancel(t *testing.T) {
 // drops.
 func TestLaneShrinksAfterBurst(t *testing.T) {
 	k := NewKernel()
-	fn := func() {}
+	comp := k.RegisterCompleter(nopCompleter{})
 	const burst = 100000
 	for i := 0; i < burst; i++ {
-		k.At(0, fn)
+		k.AtComplete(0, comp, false)
 	}
 	k.Drain()
 	// The first small cycle after the burst is evidence the high-water
 	// capacity is no longer needed; its drain must release the backing
 	// array instead of pinning ~2.3 MB for the rest of the run.
 	for i := 0; i < 100; i++ {
-		k.At(0, fn)
+		k.AtComplete(0, comp, false)
 		k.Step()
 	}
 	if got := cap(k.lane); got > laneShrinkCap {
@@ -245,12 +196,12 @@ func TestLaneShrinksAfterBurst(t *testing.T) {
 	// A sustained large lane, by contrast, keeps its capacity: no
 	// shrink thrash while bursts are the steady state.
 	for i := 0; i < 10*laneShrinkCap; i++ {
-		k.At(0, fn)
+		k.AtComplete(0, comp, false)
 	}
 	k.Drain()
 	before := cap(k.lane)
 	for i := 0; i < 10*laneShrinkCap; i++ {
-		k.At(0, fn)
+		k.AtComplete(0, comp, false)
 	}
 	k.Drain()
 	if got := cap(k.lane); got != before {
@@ -263,10 +214,10 @@ func TestLaneShrinksAfterBurst(t *testing.T) {
 func TestExtremeTimesOrdered(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.At(1e18, func() { order = append(order, "b") })
-	k.At(5e17, func() { order = append(order, "a") })
-	k.At(1e18, func() { order = append(order, "c") }) // ties b on time, later seq
-	k.At(1, func() { order = append(order, "near") })
+	at(k, 1e18, func() { order = append(order, "b") })
+	at(k, 5e17, func() { order = append(order, "a") })
+	at(k, 1e18, func() { order = append(order, "c") }) // ties b on time, later seq
+	at(k, 1, func() { order = append(order, "near") })
 	k.Drain()
 	want := []string{"near", "a", "b", "c"}
 	for i := range want {
@@ -281,8 +232,8 @@ func TestExtremeTimesOrdered(t *testing.T) {
 func TestRunUntilKeepsPending(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.At(5, func() { fired++ })
-	k.At(15, func() { fired++ })
+	at(k, 5, func() { fired++ })
+	at(k, 15, func() { fired++ })
 	k.Run(10)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -301,37 +252,66 @@ func TestRunUntilKeepsPending(t *testing.T) {
 // An index of len(fuzzDelays) repeats a pending event's time instead.
 var fuzzDelays = [...]float64{0, 1e-6, 1.0 / 16, 1, 3600, 1 << 27}
 
-// abortSink passes the sequence number of every dispatched deadline
-// abort to fired; everything else it observes is ignored.
-type abortSink func(seq uint64)
-
-func (s abortSink) Dispatch(_ float64, seq uint64, kind uint8, _ int32) {
-	if kind == evInterrupt {
-		s(seq)
-	}
+// hookSink passes every dispatch and every hold cancel it observes to
+// its hooks; gate transitions and task names are ignored.
+type hookSink struct {
+	dispatch func(at float64, seq uint64, kind uint8, arg int32)
+	cancel   func(seq uint64)
 }
-func (abortSink) Cancel(float64, uint64)                    {}
-func (abortSink) WaitBegin(float64, string, int32, float64) {}
-func (abortSink) WaitEnd(float64, string, int32)            {}
-func (abortSink) TaskName(int32, string)                    {}
 
-// FuzzTimedQueue drives the kernel with At, AtInterrupt, Stop, Step,
-// Run and events that schedule more events from their handlers, and
-// checks it against a reference that keeps every event in a list: each
-// event must be the pending event earliest in (at, seq) order and fire
-// at its own time, every event never stopped fires, Stop reports
-// whether its event was still pending, and Steps counts the events
-// fired. Deadline aborts wait in a heap of their own, so the check
-// covers the pick between the two heaps' roots, compaction across both,
-// and root reads that skip the slot check while no tombstone can be
-// pending. An abort interrupts a task that has already finished, which
-// does nothing; a sink observes its dispatch.
+func (s *hookSink) Dispatch(at float64, seq uint64, kind uint8, arg int32) {
+	s.dispatch(at, seq, kind, arg)
+}
+func (s *hookSink) Cancel(_ float64, seq uint64)            { s.cancel(seq) }
+func (*hookSink) WaitBegin(float64, string, int32, float64) {}
+func (*hookSink) WaitEnd(float64, string, int32)            {}
+func (*hookSink) TaskName(int32, string)                    {}
+
+// holderFrame parks idle until woken, then holds for hold seconds, and
+// parks idle again once the hold runs out or is interrupted. It
+// reports each hold it arms to armed. FuzzTimedQueue never leaves an
+// interrupt pending, so both waits are always entered.
+type holderFrame struct {
+	FrameState
+	p     *Proc
+	hold  float64
+	armed func()
+}
+
+func (f *holderFrame) Step(m *Machine, ok bool) Status {
+	f.PC ^= 1
+	if f.PC == 1 {
+		f.p.StartPark()
+	} else {
+		f.p.StartHold(f.hold)
+		f.armed()
+	}
+	return Park
+}
+
+// FuzzTimedQueue drives the kernel with timed and zero-delay events,
+// deadline aborts, Step, Run, events that schedule more events from
+// their handlers, and a holder process whose holds are woken and
+// interrupted, and checks it against a reference that keeps every
+// event in a list. Each event must be the pending event earliest in
+// (at, seq) order and fire at its own time, every event takes the next
+// sequence number, and Steps counts the events fired. The reference
+// observes turns, wakes and hold cancels through a sink and mirrors
+// them in sequence order. An interrupted hold leaves its wake queued,
+// and the reference keeps it pending but dropped: when it comes up, it
+// must fire nothing, count no step and leave the clock alone; Step must
+// report true for consuming it; Run must consume every dropped wake up
+// to its bound; and no dropped wake may end a later hold. After every
+// op the kernel must queue exactly the events the reference has
+// pending. Deadline aborts wait in a heap of their own, so the check
+// covers the pick between the two heaps' roots. An abort interrupts a
+// task that has already finished, which does nothing.
 //
 // The input is read as (op, arg) byte pairs:
 //
-//	0: At(delay arg)
-//	1: At(delay arg), whose handler calls At(delay arg>>4)
-//	2: Stop the timer of event arg (mod the events scheduled so far)
+//	0: schedule an event after delay arg
+//	1: the same, whose handler schedules one after delay arg>>4
+//	2: interrupt the holder's hold, or wake it idle to hold for delay arg
 //	3: Step
 //	4: Run(now + delay arg)
 //	5: AtInterrupt(delay arg)
@@ -342,18 +322,28 @@ func FuzzTimedQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		k := NewKernel()
 		target := k.Spawn("target", &Script{})
-		k.Drain() // the target finishes in its spawn turn
+		holder := &holderFrame{}
+		holder.p = k.Spawn("holder", holder)
+		k.Drain() // the target finishes; the holder parks idle
 		type event struct {
-			at    float64
-			child int  // fuzzDelays index its handler schedules at, or -1
-			done  bool // fired or stopped
+			at      float64
+			child   int  // fuzzDelays index its handler schedules at, or -1
+			dropped bool // a wake whose hold an interrupt ended
+			done    bool // fired or, if dropped, consumed
 		}
-		// Every event takes the next sequence number, so the index of an
-		// event orders it among equal times.
+		// Every event takes the next sequence number, so seq-seq0 is its
+		// index, and the index orders it among equal times.
 		var evs []event
-		var timers []Timer
-		aborts := map[uint64]int{} // abort seq → event index
+		seq0 := k.seq
 		now, fired := k.Now(), k.Steps()
+		pending, cancels, interrupts := 0, 0, 0
+		record := func(at float64, seq uint64, child int) {
+			if seq != seq0+uint64(len(evs)) {
+				t.Fatalf("event %d took seq %d", len(evs), seq)
+			}
+			evs = append(evs, event{at: at, child: child})
+			pending++
+		}
 		// next returns the pending event earliest in (at, seq) order,
 		// or -1.
 		next := func() int {
@@ -365,130 +355,163 @@ func FuzzTimedQueue(f *testing.F) {
 			}
 			return best
 		}
-		var schedule func(delay float64, child int, abort bool)
-		fire := func(id int) {
-			if want := next(); want != id {
-				t.Fatalf("event %d (at %g) fired, want event %d", id, evs[id].at, want)
-			}
-			if k.Now() != evs[id].at {
-				t.Fatalf("event %d fired at %g, want %g", id, k.Now(), evs[id].at)
-			}
+		consume := func(id int) {
 			evs[id].done = true
-			now = evs[id].at
-			fired++
-			if c := evs[id].child; c >= 0 {
-				schedule(fuzzDelays[c], -1, false)
+			pending--
+		}
+		// retire consumes the dropped wakes that come up before any
+		// live event and no later than until.
+		retire := func(until float64) {
+			for w := next(); w >= 0 && evs[w].dropped && evs[w].at <= until; w = next() {
+				consume(w)
 			}
 		}
-		k.SetSink(abortSink(func(seq uint64) { fire(aborts[seq]) }))
-		schedule = func(delay float64, child int, abort bool) {
-			id := len(evs)
-			evs = append(evs, event{at: now + delay, child: child})
-			if abort {
-				tm := k.AtInterrupt(delay, target)
-				aborts[tm.seq] = id
-				timers = append(timers, tm)
-				return
-			}
-			timers = append(timers, k.At(delay, func() { fire(id) }))
+		k.SetSink(&hookSink{
+			dispatch: func(_ float64, seq uint64, kind uint8, _ int32) {
+				id := int(seq - seq0)
+				if evs[id].dropped {
+					t.Fatalf("wake %d (at %g) fired after an interrupt ended its hold", id, evs[id].at)
+				}
+				retire(evs[id].at)
+				if want := next(); want != id {
+					t.Fatalf("event %d (at %g) fired, want event %d", id, evs[id].at, want)
+				}
+				if k.Now() != evs[id].at {
+					t.Fatalf("event %d fired at %g, want %g", id, k.Now(), evs[id].at)
+				}
+				consume(id)
+				now = evs[id].at
+				fired++
+				if kind == evWake {
+					record(now, k.seq, -1) // the holder's turn, next
+				}
+			},
+			cancel: func(seq uint64) {
+				evs[seq-seq0].dropped = true
+				cancels++
+			},
+		})
+		holder.armed = func() { record(now+holder.hold, holder.p.holdSeq, -1) }
+		var schedule func(delay float64, child int)
+		schedule = func(delay float64, child int) {
+			at(k, delay, func() {
+				if child >= 0 {
+					schedule(fuzzDelays[child], -1)
+				}
+			})
+			record(now+delay, k.seq-1, child)
 		}
 		delay := func(arg int) float64 {
 			if i := arg % (len(fuzzDelays) + 1); i < len(fuzzDelays) {
 				return fuzzDelays[i]
 			}
 			// Repeat a pending event's time, to force a tie.
-			var pending []int
+			var ids []int
 			for j, e := range evs {
 				if !e.done {
-					pending = append(pending, j)
+					ids = append(ids, j)
 				}
 			}
-			if len(pending) == 0 {
+			if len(ids) == 0 {
 				return 0
 			}
-			return evs[pending[arg%len(pending)]].at - now
+			return evs[ids[arg%len(ids)]].at - now
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			arg := int(ops[i+1])
 			switch ops[i] % 6 {
 			case 0:
-				schedule(delay(arg), -1, false)
+				schedule(delay(arg), -1)
 			case 1:
-				schedule(delay(arg), (arg>>4)%len(fuzzDelays), false)
+				schedule(delay(arg), (arg>>4)%len(fuzzDelays))
 			case 2:
-				if len(timers) == 0 {
-					continue
+				if p := holder.p; p.state == procParked {
+					if p.cancel == cancelPlain {
+						holder.hold = delay(arg)
+						p.Wake()
+					} else {
+						p.Interrupt()
+						interrupts++
+					}
+					record(now, k.seq-1, -1) // the holder's turn
 				}
-				j := arg % len(timers)
-				if got, want := timers[j].Stop(), !evs[j].done; got != want {
-					t.Fatalf("Stop of event %d = %v, want %v", j, got, want)
-				}
-				evs[j].done = true
 			case 3:
-				want := next() >= 0
-				if got := k.Step(); got != want {
-					t.Fatalf("Step = %v, want %v", got, want)
+				w, steps := next(), fired
+				if got := k.Step(); got != (w >= 0) {
+					t.Fatalf("Step = %v, want %v", got, w >= 0)
+				}
+				if w >= 0 && evs[w].dropped {
+					if fired != steps {
+						t.Fatalf("Step fired an event past the dropped wake %d", w)
+					}
+					consume(w)
 				}
 			case 4:
 				until := now + fuzzDelays[arg%len(fuzzDelays)]
 				k.Run(until)
+				retire(until)
 				if w := next(); w >= 0 && evs[w].at <= until {
 					t.Fatalf("Run(%g) returned with event %d pending at %g", until, w, evs[w].at)
 				}
 				now = max(now, until)
 			case 5:
-				schedule(delay(arg), -1, true)
+				d := delay(arg)
+				k.AtInterrupt(d, target)
+				record(now+d, k.seq-1, -1)
 			}
-			if k.Now() != now || k.Steps() != fired {
-				t.Fatalf("after op %d: Now %g, Steps %d; want %g, %d", i/2, k.Now(), k.Steps(), now, fired)
+			queued := len(k.heap) + len(k.dl) + len(k.lane) - k.lhead
+			if k.Now() != now || k.Steps() != fired || cancels != interrupts || queued != pending {
+				t.Fatalf("after op %d: Now %g, Steps %d, %d cancels, %d queued; want %g, %d, %d, %d",
+					i/2, k.Now(), k.Steps(), cancels, queued, now, fired, interrupts, pending)
 			}
 		}
 		k.Drain()
+		retire(math.Inf(1))
 		if w := next(); w >= 0 {
 			t.Fatalf("event %d (at %g) never fired", w, evs[w].at)
 		}
-		if k.Steps() != fired {
-			t.Fatalf("Steps %d, want %d", k.Steps(), fired)
+		if k.Steps() != fired || k.Now() != now {
+			t.Fatalf("after Drain: Steps %d, Now %g; want %d, %g", k.Steps(), k.Now(), fired, now)
 		}
 	})
 }
 
 // timedQueueSeeds encodes FuzzTimedQueue inputs after the patterns of
-// TestTimedOrderConformance, plus compaction, nesting and deadline
-// backlog patterns.
+// TestTimedOrderConformance, plus interrupted holds, nesting and
+// deadline backlog patterns.
 func timedQueueSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	var seeds [][]byte
-	// Schedule a burst from time 0 with ties, stop about a third, then
-	// run past everything.
+	// Schedule a burst from time 0 with ties, waking the holder into a
+	// hold or interrupting it now and then and stepping once after each,
+	// then run past everything.
 	for round := 0; round < 4; round++ {
 		var b []byte
 		n := 40 + rng.Intn(60)
 		for i := 0; i < n; i++ {
 			b = append(b, 0, byte(rng.Intn(len(fuzzDelays)+1)))
-		}
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				b = append(b, 2, byte(i))
+			if rng.Intn(4) == 0 {
+				b = append(b, 2, byte(rng.Intn(len(fuzzDelays)+1)), 3, 0)
 			}
 		}
 		seeds = append(seeds, append(b, 4, 5))
 	}
-	// Stop most of 64 distant events, so the heap compacts, then step
-	// through the rest interleaved with near events.
+	// Interrupt 24 distant holds, so their wakes pile up in the heap
+	// behind near events stepped one at a time, step onto the first
+	// eight dropped wakes, then run past them all.
 	var b []byte
-	for i := 0; i < 64; i++ {
-		b = append(b, 0, 5)
-	}
-	for i := 0; i < 48; i++ {
-		b = append(b, 2, byte(i))
+	for i := 0; i < 24; i++ {
+		b = append(b, 2, byte(4+i%2), 3, 0, 2, 0, 3, 0)
 	}
 	for i := 0; i < 20; i++ {
 		b = append(b, 0, byte(1+i%3), 3, 0)
 	}
+	for i := 0; i < 8; i++ {
+		b = append(b, 3, 0)
+	}
 	seeds = append(seeds, append(b, 4, 5))
-	// Handlers that schedule more events, with steps and short runs in
-	// between.
+	// Handlers that schedule more events, with holder ops, steps and
+	// short runs in between.
 	b = nil
 	for i := 0; i < 30; i++ {
 		b = append(b, 1, byte(rng.Intn(256)), byte(rng.Intn(5)), byte(rng.Intn(256)))
@@ -496,60 +519,41 @@ func timedQueueSeeds() [][]byte {
 	seeds = append(seeds, b)
 	// A backlog of 40 deadline aborts an hour and more ahead, some tied
 	// to each other, under churn of near events that each fire before
-	// the next is scheduled. Along the way a zero-delay event and an
-	// abort are stopped now and then (a lane and a heap tombstone), near
-	// events tie with pending ones across the two heaps, and finally
-	// most aborts are stopped, so both heaps compact, before the churn
-	// resumes and a run drains everything.
+	// the next is scheduled. Along the way the holder's zero-delay holds
+	// are interrupted in the lane, its long holds are interrupted in the
+	// heap, and near events tie with pending ones across the two heaps,
+	// before a run drains everything.
 	for round := 0; round < 2; round++ {
 		b = nil
-		n := 0 // events scheduled
-		sched := func(op, arg byte) {
-			b = append(b, op, arg)
-			n++
-		}
 		for i := 0; i < 40; i++ {
-			sched(5, byte(4+rng.Intn(3))) // an hour, 2^27 s or a tie
+			b = append(b, 5, byte(4+rng.Intn(3))) // an hour, 2^27 s or a tie
 		}
-		churn := func(steps int) {
-			for i := 0; i < steps; i++ {
-				sched(0, byte(1+rng.Intn(3)))
-				b = append(b, 3, 0)
-				switch rng.Intn(8) {
-				case 0:
-					sched(0, 0)
-					b = append(b, 2, byte(n-1)) // stop it in the lane
-				case 1:
-					b = append(b, 2, byte(rng.Intn(40))) // stop an abort
-				case 2:
-					sched(0, 6) // tie a near event to a pending time
-				}
+		for i := 0; i < 90; i++ {
+			b = append(b, 0, byte(1+rng.Intn(3)), 3, 0)
+			switch rng.Intn(8) {
+			case 0: // a zero-delay hold, interrupted before its wake
+				b = append(b, 2, 0, 3, 0, 2, 0, 3, 0, 3, 0)
+			case 1: // a long hold, interrupted later
+				b = append(b, 2, byte(4+rng.Intn(2)), 3, 0)
+			case 2:
+				b = append(b, 2, 0) // interrupt a hold, if one is armed
+			case 3:
+				b = append(b, 0, 6) // tie a near event to a pending time
 			}
 		}
-		churn(60)
-		for i := 0; i < 40; i++ {
-			if i%4 != 0 {
-				b = append(b, 2, byte(i))
-			}
-		}
-		churn(30)
 		seeds = append(seeds, append(b, 4, 5))
 	}
-	// Aborts and near events stopped and then stepped past, so every
-	// tombstone is dropped at a root and root reads go back to trusting
-	// the roots; then an abort tied to the one pending near event, which
-	// fires second, and more of both, stepped through.
+	// Holds tied to pending events and aborts, interrupted and stepped
+	// past, with more tied events scheduled behind the dropped wakes.
 	b = nil
 	for i := 0; i < 8; i++ {
 		b = append(b, 5, 3, 0, 2)
 	}
-	b = append(b, 2, 0, 2, 3, 2, 4, 2, 9)
+	for i := 0; i < 8; i++ {
+		b = append(b, 2, 6, 3, 0, 2, 0, 0, 6, 3, 0)
+	}
 	for i := 0; i < 16; i++ {
 		b = append(b, 3, 0)
-	}
-	b = append(b, 0, 3, 5, 6, 3, 0, 3, 0)
-	for i := 0; i < 8; i++ {
-		b = append(b, 5, byte(1+i%4), 0, byte(6-i%2), 3, 0)
 	}
 	return append(seeds, append(b, 4, 5))
 }

@@ -13,9 +13,7 @@ package sim
 // The service hot path is allocation-free and closure-free: completions
 // are typed kernel events (AtComplete) addressing the server by its
 // registered completer id, and the in-flight request is carried in
-// Server fields rather than per-dispatch closures. Completion timers
-// are never cancelled (service is uncancellable), so they leave no
-// tombstones in the kernel's heap.
+// Server fields rather than per-dispatch closures.
 //
 // A request ends on one of two completion paths. A direct serve (the
 // server was idle) ends with completeDirect, which frees the server and

@@ -34,7 +34,7 @@ func TestServerPriorityOrder(t *testing.T) {
 	}
 	// Occupy the server first so the others queue.
 	spawnSteps(k, "first", use(s, 5, 10), record("first"))
-	k.At(1, func() {
+	at(k, 1, func() {
 		spawnSteps(k, "low", use(s, 9, 1), record("low"))
 		spawnSteps(k, "high", use(s, 1, 1), record("high"))
 	})
@@ -49,7 +49,7 @@ func TestServerFIFOAmongEqualPriority(t *testing.T) {
 	s := NewServer(k, "cpu")
 	var order []int
 	spawnSteps(k, "occupier", use(s, 0, 5))
-	k.At(1, func() {
+	at(k, 1, func() {
 		for i := 0; i < 4; i++ {
 			i := i
 			spawnSteps(k, "eq", use(s, 7, 1), then(func(*Proc, bool) { order = append(order, i) }))
@@ -69,7 +69,7 @@ func TestServerInterruptWhileQueued(t *testing.T) {
 	spawnSteps(k, "occupier", use(s, 0, 100))
 	var gotOK *bool
 	victim := spawnSteps(k, "victim", use(s, 1, 10), then(func(_ *Proc, ok bool) { gotOK = &ok }))
-	k.At(5, func() { victim.Interrupt() })
+	at(k, 5, func() { victim.Interrupt() })
 	k.Run(20)
 	if gotOK == nil {
 		t.Fatal("victim still blocked after interrupt")
@@ -91,7 +91,7 @@ func TestServerInterruptDuringServiceCompletesFirst(t *testing.T) {
 		ok = got
 		finishedAt = p.Now()
 	}))
-	k.At(3, func() { victim.Interrupt() })
+	at(k, 3, func() { victim.Interrupt() })
 	k.Drain()
 	if ok {
 		t.Fatal("interrupted service must report false")
@@ -130,7 +130,7 @@ func TestGateReleaseSpecificWaiter(t *testing.T) {
 			}
 		}))
 	}
-	k.At(1, func() {
+	at(k, 1, func() {
 		// Admit waiter with Data==1 first, then 0, leave 2 waiting.
 		for _, w := range g.Waiters() {
 			if w.Data.(int) == 1 {
@@ -160,7 +160,7 @@ func TestGateInterruptRemovesWaiter(t *testing.T) {
 			t.Error("wait should report interruption")
 		}
 	}))
-	k.At(1, func() { p.Interrupt() })
+	at(k, 1, func() { p.Interrupt() })
 	k.Run(5)
 	if g.Len() != 0 {
 		t.Fatalf("interrupted waiter not removed; len=%d", g.Len())
@@ -172,11 +172,11 @@ func TestGateStaleHandleIgnored(t *testing.T) {
 	g := NewGate(k, "adm")
 	p := spawnSteps(k, "w", enqueue(g, 0, nil, 0))
 	var handle *Waiting
-	k.At(1, func() {
+	at(k, 1, func() {
 		handle = g.Waiters()[0]
 		p.Interrupt() // removes the entry
 	})
-	k.At(2, func() {
+	at(k, 2, func() {
 		if g.Release(handle) {
 			t.Error("stale release should report false")
 		}
@@ -194,7 +194,7 @@ func TestGateIterationArrivalOrder(t *testing.T) {
 		i := i
 		spawnSteps(k, "w", enqueue(g, 0, nil, float64(i)))
 	}
-	k.At(1, func() {
+	at(k, 1, func() {
 		var got []float64
 		for w := g.First(); w != nil; w = w.Next() {
 			got = append(got, w.Val)
@@ -332,9 +332,9 @@ func TestGateEntryRecycledAcrossWaits(t *testing.T) {
 		seqs = append(seqs, w.Seq())
 		g.Release(w)
 	}
-	k.At(1, release)
-	k.At(2, release)
-	k.At(3, release)
+	at(k, 1, release)
+	at(k, 2, release)
+	at(k, 3, release)
 	k.Drain()
 	if rounds != 3 {
 		t.Fatalf("completed %d waits, want 3", rounds)
@@ -348,23 +348,23 @@ func TestGateServiceSection(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "disk")
 	var ok bool
-	var at float64
+	var resumed float64
 	p := spawnSteps(k, "w", enqueue(g, 0, nil, 0), then(func(p *Proc, got bool) {
 		ok = got
-		at = p.Now()
+		resumed = p.Now()
 	}))
-	k.At(1, func() {
+	at(k, 1, func() {
 		w := g.Waiters()[0]
 		g.BeginService(w)
-		k.At(9, func() { g.EndService(w) })
+		at(k, 9, func() { g.EndService(w) })
 	})
 	// Interrupt mid-service: must defer to completion.
-	k.At(5, func() { p.Interrupt() })
+	at(k, 5, func() { p.Interrupt() })
 	k.Drain()
 	if ok {
 		t.Fatal("deferred interrupt not reported")
 	}
-	if at != 10 {
-		t.Fatalf("service should complete at 10, resumed at %g", at)
+	if resumed != 10 {
+		t.Fatalf("service should complete at 10, resumed at %g", resumed)
 	}
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Proc is a simulation process: a stack of frames (inline.go) that the
 // kernel steps on its own goroutine, plus the scheduling state every
 // wait primitive arms and ends. Spawn registers the process with the
@@ -27,11 +25,9 @@ type Proc struct {
 	// when it ends the wait by interrupt.
 	wakeInterrupted bool
 	started         bool // the first turn has run
-	// holdID/holdSeq identify the pending wake event of the current hold
-	// (cancelTimer): a pointer-free handle, so arming a hold stores no
-	// pointer and crosses no write barrier. A ride (cancelRide) uses
-	// holdSeq alone: its wake has a sequence number but no slot.
-	holdID  int32
+	// holdSeq is the sequence number of the current hold's wake
+	// (cancelHold), whether a timed wake event or a ride's reserved one.
+	// A wake is live only while it matches (holding).
 	holdSeq uint64
 	// wait is the process's gate queue entry, embedded so queueing never
 	// allocates; a process occupies at most one gate at a time, and the
@@ -60,21 +56,18 @@ const (
 	// dispatched disk transfer); interrupts are deferred to its
 	// completion.
 	cancelNone cancelKind = iota
-	// cancelTimer: the wait is a hold; cancelling stops the hold timer,
-	// leaving a tombstone the heap drops at its root or compacts away.
-	cancelTimer
+	// cancelHold: the wait is a hold, timed (StartHold) or riding on a
+	// resource's completion (Kernel.AtCompleteRide), whose wake carries
+	// holdSeq. Cancelling reports holdSeq to the sink and leaves the wake
+	// to find the hold gone and deliver nothing.
+	cancelHold
 	// cancelGate: the wait is a Gate queue entry; cancelling unlinks
 	// the embedded wait record from its gate.
 	cancelGate
 	// cancelPlain marks a wait entered via StartPark, the only kind of
 	// wait that Wake may resume; Wake must never tear a process out of
-	// a timer or a scheduler queue.
+	// a hold or a scheduler queue.
 	cancelPlain
-	// cancelRide: the wait is a slot-free hold whose wake rides on a
-	// resource's completion (Kernel.AtCompleteRide). holdSeq is the
-	// wake's reserved sequence number; cancelling reports it to the sink
-	// and leaves the completion to deliver nothing.
-	cancelRide
 )
 
 // Name returns the process name given at spawn.
@@ -120,32 +113,24 @@ func (p *Proc) deliverWake(interrupted bool) {
 
 // StartHold arms a cancellable timed wake after dt simulated seconds
 // and reports whether the wait was entered; false means a pending
-// interrupt consumed it instead (no timer armed). On true the frame
+// interrupt consumed it instead (no wake scheduled). On true the frame
 // must return Park at once. A negative or NaN dt panics.
 func (p *Proc) StartHold(dt float64) bool {
-	if !(dt >= 0) {
-		panic(fmt.Sprintf("sim: negative or NaN hold %g", dt))
-	}
+	checkDelay(dt)
 	if p.takePendingInterrupt() {
 		return false
 	}
-	p.holdID, p.holdSeq = p.k.schedWake(dt, p)
-	p.cancel = cancelTimer
+	p.holdSeq = p.k.sched(dt, evWake, p.tid)
+	p.cancel = cancelHold
 	return true
 }
 
-// startRide arms a ride: a hold with no timed wake event of its own,
-// ended by the completion it rides on (Kernel.DeliverRide) or by an
-// interrupt. It reserves the sequence number the wake event would have
-// taken and reports whether the wait was entered, like StartHold.
-func (p *Proc) startRide() bool {
-	if p.takePendingInterrupt() {
-		return false
-	}
-	p.holdSeq = p.k.seq
-	p.k.seq++
-	p.cancel = cancelRide
-	return true
+// holding reports whether the hold wake with sequence number seq is
+// live: the process still waits in that very hold. An interrupt that
+// ends a hold leaves its wake queued (timed) or its completion due
+// (ride), and this test is how the wake learns to deliver nothing.
+func (p *Proc) holding(seq uint64) bool {
+	return p.state == procParked && p.cancel == cancelHold && p.holdSeq == seq
 }
 
 // StartPark arms a plain cancellable wait, ended by Wake or Interrupt,
@@ -174,8 +159,9 @@ func (p *Proc) Wake() {
 // Interrupt aborts the process's current wait. A cancellable wait
 // (hold, plain park, gate queue, or the wait on an idle disk's direct
 // transfer, which is a hold riding on the transfer's completion) is
-// torn down and resumes at once with an interrupted outcome; the direct
-// transfer itself still completes on the disk's timeline. An
+// torn down and resumes at once with an interrupted outcome; a hold's
+// wake stays queued and delivers nothing when it comes up, and the
+// direct transfer itself still completes on the disk's timeline. An
 // uncancellable section (a CPU burst, or a disk transfer dispatched
 // from the queue) completes first and then reports the interruption.
 // An interrupt that finds the process running or already waking is
@@ -187,11 +173,7 @@ func (p *Proc) Interrupt() {
 		switch p.cancel {
 		case cancelNone:
 			p.pendingInterrupt = true
-		case cancelTimer:
-			p.cancel = cancelNone
-			p.k.stopEvent(p.holdID, p.holdSeq)
-			p.deliverWake(true)
-		case cancelRide:
+		case cancelHold:
 			p.cancel = cancelNone
 			if s := p.k.sink; s != nil {
 				s.Cancel(p.k.now, p.holdSeq)

@@ -24,7 +24,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake delivered
+		k.Step() // hold wake fires, turn scheduled
 		k.Step() // turn: machine re-arms its hold
 	}
 	b.StopTimer()
@@ -52,7 +52,7 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Step() // hold timer fires, wake delivered (recorded)
+		k.Step() // hold wake fires, turn scheduled (recorded)
 		k.Step() // turn: machine re-arms its hold (recorded)
 		c.Reset()
 	}

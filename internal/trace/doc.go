@@ -6,8 +6,8 @@
 //
 //   - Kernel events. internal/sim's Kernel holds a nil-checked
 //     trace.Sink and reports every dispatched event (task turns, timed
-//     wakes, interrupts, service completions, closures), every
-//     successful timer cancel, and every gate-queue transition. The
+//     wakes, interrupts, service completions), every hold an interrupt
+//     cancels, and every gate-queue transition. The
 //     sink is a pure observer of the kernel's (time, seq) stream: it
 //     may not schedule events or draw random numbers, so attaching one
 //     cannot change the simulation — golden-digest tests pin that runs

@@ -57,13 +57,13 @@ const (
 )
 
 // Kernel event kinds mirror internal/sim's typed event kinds by value
-// (sim asserts the correspondence in its tests); Cancel is an extra
-// trace-only kind recorded by Timer.Stop and hold cancels.
+// (sim asserts the correspondence at compile time); Cancel is an extra
+// trace-only kind recorded when an interrupt ends a hold.
 const (
-	KindClosure uint8 = iota
+	_ uint8 = iota // 0 and 3 are retired; the other kinds keep their recorded values
 	KindTurn
 	KindWake
-	_ // 3 is retired; the kinds after it keep their recorded values
+	_
 	KindInterrupt
 	KindComplete
 	KindCompleteQ
@@ -74,8 +74,6 @@ const (
 // event kind.
 func KernelEventName(kind uint8) string {
 	switch kind {
-	case KindClosure:
-		return "closure"
 	case KindTurn:
 		return "turn"
 	case KindWake:
@@ -103,8 +101,8 @@ type Sink interface {
 	// event's globally unique sequence number, its typed kind, and the
 	// kind's payload (a task or completer registry index).
 	Dispatch(at float64, seq uint64, kind uint8, arg int32)
-	// Cancel observes a successful Timer.Stop or hold cancel of the
-	// not-yet-fired event seq.
+	// Cancel observes an interrupt ending a hold whose wake, sequence
+	// number seq, has not fired.
 	Cancel(at float64, seq uint64)
 	// WaitBegin observes a task queueing at a named gate.
 	WaitBegin(at float64, gate string, task int32, prio float64)
