@@ -385,12 +385,12 @@ func TestTempAllocFreeReuse(t *testing.T) {
 	_, m := newTestManager(t, 1, 1400) // tiny temp bands: 100 cylinders total
 	d := m.Disk(0)
 	free0 := d.tempInner.freeCylinders() + d.tempOuter.freeCylinders()
-	var extents []*Extent
+	var extents []Extent
 	for i := 0; i < 5; i++ {
 		extents = append(extents, m.AllocTemp(800, 0))
 	}
-	for _, e := range extents {
-		e.Free()
+	for i := range extents {
+		extents[i].Free()
 	}
 	if got := d.tempInner.freeCylinders() + d.tempOuter.freeCylinders(); got != free0 {
 		t.Fatalf("temp cylinders leaked: %d, want %d", got, free0)
@@ -399,17 +399,17 @@ func TestTempAllocFreeReuse(t *testing.T) {
 
 func TestTempOvercommitDoesNotFail(t *testing.T) {
 	_, m := newTestManager(t, 1, 1400)
-	var extents []*Extent
+	var extents []Extent
 	// Demand far more temp space than exists.
 	for i := 0; i < 50; i++ {
 		e := m.AllocTemp(900, 0)
-		if e == nil {
-			t.Fatal("AllocTemp returned nil")
+		if e.Disk() == nil || e.Pages() != 900 {
+			t.Fatalf("AllocTemp returned %+v", e)
 		}
 		extents = append(extents, e)
 	}
-	for _, e := range extents {
-		e.Free() // must not panic even for overcommitted extents
+	for i := range extents {
+		extents[i].Free() // must not panic even for overcommitted extents
 	}
 }
 

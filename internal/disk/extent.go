@@ -83,19 +83,22 @@ func (d *Disk) PlaceRelation(pages int) (*Extent, error) {
 // every disk is full the extent is overcommitted at the band edge rather
 // than failing, so a badly thrashing simulation degrades instead of
 // crashing.
-func (m *Manager) AllocTemp(pages int, preferDisk int) *Extent {
+//
+// The extent is returned by value, for its owner to hold inside its own
+// record (a temp file), so a temp allocation makes no heap object.
+func (m *Manager) AllocTemp(pages int, preferDisk int) Extent {
 	if pages <= 0 {
 		pages = 1
 	}
 	cyls := cylindersFor(pages, m.params.CylinderSize)
 	if preferDisk >= 0 && preferDisk < len(m.disks) {
-		if e := m.disks[preferDisk].allocTemp(pages, cyls); e != nil {
+		if e, ok := m.disks[preferDisk].allocTemp(pages, cyls); ok {
 			return e
 		}
 	}
 	for try := 0; try < len(m.disks); try++ {
 		d := m.disks[(m.tempNext+try)%len(m.disks)]
-		if e := d.allocTemp(pages, cyls); e != nil {
+		if e, ok := d.allocTemp(pages, cyls); ok {
 			m.tempNext = (m.tempNext + try + 1) % len(m.disks)
 			return e
 		}
@@ -103,13 +106,13 @@ func (m *Manager) AllocTemp(pages int, preferDisk int) *Extent {
 	// Overcommit on the round-robin disk at the inner edge.
 	d := m.disks[m.tempNext]
 	m.tempNext = (m.tempNext + 1) % len(m.disks)
-	return &Extent{disk: d, startCyl: 0, cyls: cyls, pages: pages,
+	return Extent{disk: d, startCyl: 0, cyls: cyls, pages: pages,
 		region: RegionTempInner, overcommitted: true}
 }
 
 // allocTemp tries both temp bands of one disk, preferring the one with
-// the larger free run.
-func (d *Disk) allocTemp(pages, cyls int) *Extent {
+// the larger free run. ok is false when neither band has room.
+func (d *Disk) allocTemp(pages, cyls int) (e Extent, ok bool) {
 	inner, outer := d.tempInner.largestRun(), d.tempOuter.largestRun()
 	order := []*regionAlloc{d.tempInner, d.tempOuter}
 	regions := []Region{RegionTempInner, RegionTempOuter}
@@ -119,10 +122,10 @@ func (d *Disk) allocTemp(pages, cyls int) *Extent {
 	}
 	for i, ra := range order {
 		if start, ok := ra.alloc(cyls); ok {
-			return &Extent{disk: d, startCyl: start, cyls: cyls, pages: pages, region: regions[i]}
+			return Extent{disk: d, startCyl: start, cyls: cyls, pages: pages, region: regions[i]}, true
 		}
 	}
-	return nil
+	return Extent{}, false
 }
 
 // Free releases a temporary extent. Freeing twice or freeing a relation

@@ -17,6 +17,7 @@ package extsort
 
 import (
 	"math/bits"
+	"slices"
 
 	"pmm/internal/cpu"
 	"pmm/internal/query"
@@ -48,8 +49,9 @@ func New(tuplesPerPage, blockSize int) *Sort {
 }
 
 // Start builds the per-execution state and returns the root frame. The
-// state comes from the kernel's frame arena when it has one, so sweep
-// replicates after the first run sort setup allocation-free.
+// state comes from the kernel's frame arena when it has one, and goes
+// back to it when the sort ends, with the slice backing and merge-file
+// records it grew, so the next sort reuses them.
 func (op *Sort) Start(e *query.Exec) sim.Frame {
 	s := sim.AllocFrom[sstate](e.K.Arena())
 	s.e, s.op = e, op
@@ -63,7 +65,7 @@ func (op *Sort) Start(e *query.Exec) sim.Frame {
 // mergeFile wraps a temp file with a reference count of the runs still
 // reading from it, so files are freed as soon as their last run drains.
 type mergeFile struct {
-	t    *query.TempFile
+	t    query.TempFile
 	refs int
 }
 
@@ -90,7 +92,9 @@ type sstate struct {
 	op   *Sort
 	runs []run
 	// files holds every merge file the sort created, in creation order,
-	// so cleanup on abort closes the ones still referenced.
+	// so cleanup on abort closes the ones still referenced. Past its
+	// length, its backing points at the records of an earlier sort on
+	// this state, which newFile opens again.
 	files []*mergeFile
 
 	// Run-formation state shared between the formation and emit frames.
@@ -108,20 +112,46 @@ type sstate struct {
 	fMerge     mergeFrame
 }
 
-func (s *sstate) closeAll() {
+// Recycle clears the sort state for its next sort (sim.Recycler). It
+// keeps the backing of runs, files and the merge frame's inputs and
+// cursors, truncated, so a sort regrows none of them; the merge-file
+// records that files' backing points at come back with it.
+func (s *sstate) Recycle() {
+	runs, files := s.runs[:0], s.files[:0]
+	inputs, cursors := s.fMerge.inputs[:0], s.fMerge.cursors[:0]
+	*s = sstate{}
+	s.runs, s.files = runs, files
+	s.fMerge.inputs, s.fMerge.cursors = inputs, cursors
+}
+
+// finish ends the sort with result ok: it closes the files still
+// referenced and gives the sort state back to the kernel's arena, then
+// returns from the root frame. Closing reads each file's record, so the
+// records go back with the state, never at Close.
+func (s *sstate) finish(m *sim.Machine, ok bool) sim.Status {
 	for _, f := range s.files {
 		if f.refs > 0 {
 			f.t.Close()
 		}
 	}
+	sim.FreeTo(s.e.K.Arena(), s)
+	return m.Return(ok)
 }
 
-// newFile creates a tracked temp file with one reference, placed beside
-// the sort's operand relation. The record comes from the kernel's frame
-// arena, as the sort state does.
+// newFile opens a tracked temp file with one reference, placed beside
+// the sort's operand relation. Its record is the one files' backing
+// holds at the next index, left by an earlier sort on this state, or
+// else a new one from the kernel's frame arena.
 func (s *sstate) newFile(capacity int) *mergeFile {
-	f := sim.AllocFrom[mergeFile](s.e.K.Arena())
-	f.t, f.refs = s.e.CreateTemp(capacity, s.e.Q.R), 1
+	var f *mergeFile
+	if n := len(s.files); n < cap(s.files) {
+		f = s.files[:n+1][n]
+	}
+	if f == nil {
+		f = sim.AllocFrom[mergeFile](s.e.K.Arena())
+	}
+	s.e.OpenTemp(&f.t, capacity, s.e.Q.R)
+	f.refs = 1
 	s.files = append(s.files, f)
 	return f
 }
@@ -339,7 +369,6 @@ type mergeFrame struct {
 	fanIn   int
 	final   bool
 	inputs  []run
-	rest    []run
 	total   int
 	outUnit int
 	out     *mergeFile
@@ -373,11 +402,10 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.final = fi == len(s.runs)
 			// Merge the shortest runs first (fewest pages re-read over the
 			// remaining passes). The step's inputs are copied into the
-			// frame's reused slice; the rest stays in place in s.runs,
-			// and its tail receives the step's output run.
+			// frame's reused slice; the rest stays in place in s.runs
+			// after them until the step ends.
 			sortRunsByPages(s.runs)
 			f.inputs = append(f.inputs[:0], s.runs[:fi]...)
-			f.rest = s.runs[fi:]
 
 			f.total = 0
 			for _, in := range f.inputs {
@@ -462,10 +490,12 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 				in.file.unref()
 			}
 			if f.final {
-				s.runs = nil
+				s.runs = s.runs[:0]
 				return m.Return(true)
 			}
-			s.runs = append(f.rest, run{file: f.out, pages: f.out.t.Written()})
+			// The rest moves to the front, and the step's output run
+			// follows it.
+			s.runs = append(slices.Delete(s.runs, 0, f.fanIn), run{file: f.out, pages: f.out.t.Written()})
 			f.PC = 0
 		case 8: // split: materialize the partial output
 			// The step can no longer fit: the partial output becomes a
@@ -489,20 +519,26 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 			f.PC = 10
 		case 10: // split: rebuild the run list
-			var newRuns []run
-			if f.out != nil && f.out.t.Written() > 0 {
-				newRuns = append(newRuns, run{file: f.out, pages: f.out.t.Written()})
-			} else if f.out != nil {
+			// The partial output, then the unread input remainders,
+			// replace the step's inputs ahead of the rest. The
+			// remainders are compacted in place in the frame's inputs.
+			keepOut := f.out != nil && f.out.t.Written() > 0
+			if f.out != nil && !keepOut {
 				f.out.unref()
 			}
+			n := 0
 			for i, in := range f.inputs {
 				if f.cursors[i] < in.pages {
-					newRuns = append(newRuns, run{file: in.file, off: in.off + f.cursors[i], pages: in.pages - f.cursors[i]})
+					f.inputs[n] = run{file: in.file, off: in.off + f.cursors[i], pages: in.pages - f.cursors[i]}
+					n++
 				} else {
 					in.file.unref()
 				}
 			}
-			s.runs = append(newRuns, f.rest...)
+			s.runs = slices.Replace(s.runs, 0, f.fanIn, f.inputs[:n]...)
+			if keepOut {
+				s.runs = slices.Insert(s.runs, 0, run{file: f.out, pages: f.out.t.Written()})
+			}
 			if !e.WaitMemoryIdle() {
 				f.PC = 11
 				return e.CallWaitMemory(m)
@@ -519,8 +555,8 @@ func (f *mergeFrame) Step(m *sim.Machine, ok bool) sim.Status {
 
 // sortFrame is the root: init charge, formation, then either the
 // in-memory fast path or the merge phase, then the termination charge,
-// releasing all temporary files on every path (the frame-based
-// equivalent of the original defer).
+// releasing all temporary files and the sort state on every path (the
+// frame-based equivalent of the original defer).
 type sortFrame struct {
 	sim.FrameState
 	s *sstate
@@ -538,15 +574,13 @@ func (f *sortFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 		case 1: // init charged
 			if !ok {
-				s.closeAll()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 2
 			return m.Call(&s.fFormation)
 		case 2: // formation done
 			if !ok {
-				s.closeAll()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			if s.inMemory {
 				// Single in-memory run: produce output directly.
@@ -560,20 +594,17 @@ func (f *sortFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			return m.Call(&s.fMerge)
 		case 3: // in-memory output charged
 			if !ok {
-				s.closeAll()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 4
 			if e.CPUBurst(cpu.CostTermQuery, &ok) {
 				return sim.Park
 			}
 		case 4: // termination charged
-			s.closeAll()
-			return m.Return(ok)
+			return s.finish(m, ok)
 		case 5: // merge done
 			if !ok {
-				s.closeAll()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 4
 			if e.CPUBurst(cpu.CostTermQuery, &ok) {

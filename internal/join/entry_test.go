@@ -54,7 +54,7 @@ func returnsAtOnce(t *testing.T, k *sim.Kernel, e *query.Exec, child sim.Frame) 
 type jfields struct {
 	expanded, expandedOnDisk, rReadCur         int
 	perPartRaw, rBuf, sBuf, rSpooled, sPending float64
-	rSpool, sSpool                             *query.TempFile
+	rSpool, sSpool                             query.TempFile
 	alloc, wantMem, ioCount                    int
 	relRead, spoolWrite, spoolRead             int64
 }

@@ -75,8 +75,8 @@ func New(f float64, tuplesPerPage, blockSize int) *PPHJ {
 }
 
 // Start builds the per-execution state and returns the root frame. The
-// state comes from the kernel's frame arena when it has one, so sweep
-// replicates after the first run join setup allocation-free.
+// state comes from the kernel's frame arena when it has one, and goes
+// back to it when the join ends, so the next join reuses it.
 func (op *PPHJ) Start(e *query.Exec) sim.Frame {
 	s := sim.AllocFrom[jstate](e.K.Arena())
 	s.e, s.op, s.b = e, op, NumPartitions(e.Q.R.Pages, op.f)
@@ -110,10 +110,10 @@ type jstate struct {
 	// so contracting them again is free — the copy is just re-adopted.
 	expandedOnDisk int
 
-	rSpool *query.TempFile // spooled R partition data
-	sSpool *query.TempFile // spooled S tuples for contracted partitions
-	rBuf   float64         // R pages accrued toward the next spool flush
-	sBuf   float64         // S pages accrued toward the next spool flush
+	rSpool query.TempFile // spooled R partition data, once opened
+	sSpool query.TempFile // spooled S tuples for contracted partitions
+	rBuf   float64        // R pages accrued toward the next spool flush
+	sBuf   float64        // S pages accrued toward the next spool flush
 
 	rSpooled float64 // raw R pages on disk (excluding buffers)
 	sPending float64 // spooled S pages not yet joined
@@ -129,13 +129,17 @@ type jstate struct {
 	fReadBack readBackFrame
 }
 
-func (s *jstate) closeTemps() {
-	if s.rSpool != nil {
-		s.rSpool.Close()
+// finish ends the join with result ok: it closes the spool files and
+// gives the join state, spool records included, back to the kernel's
+// arena for the next join, then returns from the root frame.
+func (s *jstate) finish(m *sim.Machine, ok bool) sim.Status {
+	for _, t := range [2]*query.TempFile{&s.rSpool, &s.sSpool} {
+		if t.Opened() {
+			t.Close()
+		}
 	}
-	if s.sSpool != nil {
-		s.sSpool.Close()
-	}
+	sim.FreeTo(s.e.K.Arena(), s)
+	return m.Return(ok)
 }
 
 // memUse returns the current workspace footprint in pages: one input
@@ -195,7 +199,7 @@ type flushFrame struct {
 	sim.FrameState
 	s        *jstate
 	buf      *float64
-	file     **query.TempFile
+	file     *query.TempFile
 	capacity int
 	force    bool
 
@@ -220,18 +224,18 @@ func (f *flushFrame) Step(m *sim.Machine, ok bool) sim.Status {
 					continue
 				}
 			}
-			if *f.file == nil {
+			if !f.file.Opened() {
 				// Spool next to the relation being scanned: R-partition data
 				// beside R, spilled S tuples beside S.
 				rel := s.e.Q.R
 				if f.buf == &s.sBuf && s.e.Q.S != nil {
 					rel = s.e.Q.S
 				}
-				*f.file = s.e.CreateTemp(f.capacity, rel)
+				s.e.OpenTemp(f.file, f.capacity, rel)
 			}
 			f.n = n
 			f.PC = 1
-			return (*f.file).CallAppend(m, s.e, n, bs)
+			return f.file.CallAppend(m, s.e, n, bs)
 		case 1: // append done
 			if !ok {
 				return m.Return(false)
@@ -572,7 +576,7 @@ func (f *readBackFrame) Step(m *sim.Machine, ok bool) sim.Status {
 		switch f.PC {
 		case 0: // entry: R read-back
 			f.rPages = int(math.Round(s.perPartRaw))
-			if f.rPages > 0 && s.rSpool != nil {
+			if f.rPages > 0 && s.rSpool.Opened() {
 				from := s.rReadCur % maxInt(s.rSpool.Written(), 1)
 				f.n = minInt(f.rPages, s.rSpool.Written())
 				if f.n > 0 {
@@ -605,7 +609,7 @@ func (f *readBackFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.PC = 3
 		case 3: // S read-back
 			f.sPages = int(math.Round(f.sShare))
-			if f.sPages > 0 && s.sSpool != nil {
+			if f.sPages > 0 && s.sSpool.Opened() {
 				f.n = minInt(f.sPages, s.sSpool.Written())
 				if f.n > 0 {
 					f.PC = 4
@@ -696,7 +700,7 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			if !ok {
 				return m.Return(false)
 			}
-			f.rPages = pagesFor(f.rShare, f.rOff, spoolWritten(s.rSpool))
+			f.rPages = pagesFor(f.rShare, f.rOff, s.rSpool.Written())
 			if f.rPages > 0 {
 				f.PC = 5
 				return s.rSpool.CallRead(m, e, f.rOff, f.rPages, s.op.blockSize)
@@ -717,7 +721,7 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 			f.PC = 7
 		case 7: // S share
-			f.sPages = pagesFor(f.sShare, f.sOff, spoolWritten(s.sSpool))
+			f.sPages = pagesFor(f.sShare, f.sOff, s.sSpool.Written())
 			if f.sPages > 0 {
 				f.PC = 8
 				return s.sSpool.CallRead(m, e, f.sOff, f.sPages, s.op.blockSize)
@@ -744,8 +748,8 @@ func (f *cleanupFrame) Step(m *sim.Machine, ok bool) sim.Status {
 }
 
 // runFrame is the root: init charge, build, probe, cleanup, termination
-// charge, releasing all temporary files on every path (the frame-based
-// equivalent of the original defer).
+// charge, releasing all temporary files and the join state on every
+// path (the frame-based equivalent of the original defer).
 type runFrame struct {
 	sim.FrameState
 	s *jstate
@@ -762,37 +766,32 @@ func (f *runFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			}
 		case 1: // init charged
 			if !ok {
-				s.closeTemps()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 2
 			return m.Call(&s.fBuild)
 		case 2: // built
 			if !ok {
-				s.closeTemps()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 3
 			return m.Call(&s.fProbe)
 		case 3: // probed
 			if !ok {
-				s.closeTemps()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 4
 			return m.Call(&s.fCleanup)
 		case 4: // cleaned up
 			if !ok {
-				s.closeTemps()
-				return m.Return(false)
+				return s.finish(m, false)
 			}
 			f.PC = 5
 			if s.e.CPUBurst(cpu.CostTermQuery, &ok) {
 				return sim.Park
 			}
 		case 5: // termination charged
-			s.closeTemps()
-			return m.Return(ok)
+			return s.finish(m, ok)
 		}
 	}
 }
@@ -808,13 +807,6 @@ func pagesFor(share float64, off, written int) int {
 		n = 0
 	}
 	return n
-}
-
-func spoolWritten(t *query.TempFile) int {
-	if t == nil {
-		return 0
-	}
-	return t.Written()
 }
 
 func minInt(a, b int) int {

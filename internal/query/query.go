@@ -299,29 +299,32 @@ func (f *readRelFrame) Step(m *sim.Machine, ok bool) sim.Status {
 }
 
 // TempFile is a temporary spool file (contracted partitions, sort runs).
+// Operators hold their temp files by value, inside their own state, so
+// opening one allocates nothing; the zero value is a file not yet
+// opened.
 type TempFile struct {
 	env     *Env
 	id      int64
-	ext     *disk.Extent
+	ext     disk.Extent
 	written int
 	closed  bool
 }
 
-// CreateTemp allocates a temp file able to hold capacity pages, placed
-// on the disk holding rel (operators spool next to the relation they
-// process); a nil rel lets the disk manager choose round-robin. The
-// record comes from the kernel's frame arena when it has one, like the
-// operators' frames, so it lives until the replicate ends.
-func (e *Exec) CreateTemp(capacity int, rel *catalog.Relation) *TempFile {
+// OpenTemp opens t as a new temp file able to hold capacity pages,
+// placed on the disk holding rel (operators spool next to the relation
+// they process); a nil rel lets the disk manager choose round-robin.
+// Whatever t held before is overwritten.
+func (e *Exec) OpenTemp(t *TempFile, capacity int, rel *catalog.Relation) {
 	e.Env.tempID--
 	prefer := -1
 	if rel != nil {
 		prefer = rel.Extent().Disk().ID()
 	}
-	t := sim.AllocFrom[TempFile](e.K.Arena())
-	t.env, t.id, t.ext = e.Env, e.Env.tempID, e.Disks.AllocTemp(capacity, prefer)
-	return t
+	*t = TempFile{env: e.Env, id: e.Env.tempID, ext: e.Disks.AllocTemp(capacity, prefer)}
 }
+
+// Opened reports whether t was opened by OpenTemp.
+func (t *TempFile) Opened() bool { return t.env != nil }
 
 // Written returns the pages appended so far.
 func (t *TempFile) Written() int { return t.written }

@@ -107,10 +107,10 @@ func TestTempFileLifecycle(t *testing.T) {
 	q := newQuery(rel)
 	free0 := env.Disks.Disk(0).TempFreeCylinders() + env.Disks.Disk(1).TempFreeCylinders()
 	e := &Exec{Env: env, Q: q}
-	var tf *TempFile
+	tf := new(TempFile)
 	script(k, e,
 		func(m *sim.Machine, ok bool) sim.Status {
-			tf = e.CreateTemp(60, rel)
+			e.OpenTemp(tf, 60, rel)
 			if tf.Capacity() < 60 {
 				t.Errorf("capacity %d", tf.Capacity())
 			}
@@ -147,10 +147,10 @@ func TestTempFileGrowsBeyondCapacity(t *testing.T) {
 	k, env, rel := newEnv(t)
 	q := newQuery(rel)
 	e := &Exec{Env: env, Q: q}
-	var tf *TempFile
+	tf := new(TempFile)
 	script(k, e,
 		func(m *sim.Machine, ok bool) sim.Status {
-			tf = e.CreateTemp(10, rel)
+			e.OpenTemp(tf, 10, rel)
 			return tf.CallAppend(m, e, 50, 6) // outgrows the 10-page estimate
 		},
 		func(m *sim.Machine, ok bool) sim.Status {

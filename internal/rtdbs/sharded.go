@@ -407,10 +407,13 @@ func (r *shardedRun) digest() string {
 }
 
 // Simulate runs one configuration to completion: the classic
-// single-kernel System for single-tenant configs (on arena a, which may
-// be nil), the partitioned multi-tenant path for Tenants > 1 (cells own
-// private arenas; a is unused). This is the one entry point the runner
-// and the public API dispatch through.
+// single-kernel System for single-tenant configs, the partitioned
+// multi-tenant path for Tenants > 1 (cells own private arenas; a is
+// unused). A single-tenant run builds on arena a, which its caller
+// resets; with a nil a, as in a one-shot pmm.Run, it takes an arena
+// from sim's pool and gives it back once the results are assembled.
+// This is the one entry point the runner and the public API dispatch
+// through.
 func Simulate(cfg Config, a *sim.Arena) (*Results, error) {
 	if cfg.Tenants > 1 {
 		r, err := newSharded(cfg)
@@ -419,9 +422,22 @@ func Simulate(cfg Config, a *sim.Arena) (*Results, error) {
 		}
 		return r.run(), nil
 	}
+	if a == nil {
+		a = sim.TakeArena()
+		defer putArena(a)
+	}
 	sys, err := NewWithArena(cfg, a)
 	if err != nil {
 		return nil, err
 	}
 	return sys.Run(), nil
+}
+
+// putArena resets a pooled arena and gives it back. Results hold no
+// arena memory (they are rebuilt values), so the arena recycles as soon
+// as they are assembled, or at once after an error that left a
+// half-built kernel in it.
+func putArena(a *sim.Arena) {
+	a.Reset()
+	sim.PutArena(a)
 }

@@ -60,17 +60,19 @@ type System struct {
 }
 
 // New builds a system from cfg. The same config and seed always produce
-// the same run. The system gets a private frame arena: even a one-shot
-// run allocates its processes and operator frames from slabs instead of
-// the heap (the arena dies with the system, so nothing is recycled —
-// sweep workers that want warm starts pass their own via NewWithArena).
+// the same run. The system gets a private frame arena: its processes,
+// query frames and operator state come from slabs instead of the heap,
+// and each finished query's are reused by the next. The arena dies with
+// the system, so it starts cold; sweep workers and Simulate, which keep
+// arenas warm across runs, pass one via NewWithArena.
 func New(cfg Config) (*System, error) { return NewWithArena(cfg, sim.NewArena()) }
 
 // NewWithArena builds a system whose kernel allocates processes and
 // operator frames from arena a — the warm-start path sweep workers use,
-// with Arena.Reset between replicates. A nil arena is a plain New. The
-// run itself is bit-for-bit identical either way: the arena changes
-// where state lives, never what events fire.
+// with Arena.Reset between replicates. A nil arena gives a kernel with
+// no arena at all, whose state the garbage collector reclaims. The run
+// itself is bit-for-bit identical either way: the arena changes where
+// state lives, never what events fire.
 func NewWithArena(cfg Config, a *sim.Arena) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -310,12 +312,15 @@ func (f *queryFrame) Step(m *sim.Machine, ok bool) sim.Status {
 			f.completed = ok
 			f.PC = 3
 		case 3: // depart
-			q := f.q
+			q, completed := f.q, f.completed
 			q.Finished = true
 			q.FinishTime = f.s.k.Now()
-			q.Missed = !f.completed
-			f.s.ctrl.Depart(q, f.completed)
-			return m.Return(f.completed)
+			q.Missed = !completed
+			f.s.ctrl.Depart(q, completed)
+			// The frame, with the Exec inside it, is done: give it back
+			// for the next query, whose launch takes it.
+			sim.FreeTo(f.s.k.Arena(), f)
+			return m.Return(completed)
 		}
 	}
 }
@@ -345,13 +350,21 @@ func (s *System) launch(q *query.Query) {
 	f := sim.AllocFrom[queryFrame](s.k.Arena())
 	f.s, f.q = s, q
 	f.e = query.Exec{Env: &s.env, Q: q}
-	q.Proc = s.k.Spawn(fmt.Sprintf("q%d", q.ID), f)
+	// A process name reaches only a trace sink, and every query is
+	// launched during Run, after SetTrace attached it.
+	var name string
+	if s.tr != nil {
+		name = fmt.Sprintf("q%d", q.ID)
+	}
+	q.Proc = s.k.Spawn(name, f)
 	f.e.P = q.Proc
 	// The abort event deliberately fires even for queries that finish
-	// early (interrupting a dead process is a no-op): cancelling it on
-	// completion would change the executed-event trace, and the pending
-	// entry just waits in the kernel's deadline heap, apart from the
-	// events that run queries, until it fires either way.
+	// early: cancelling it on completion would change the executed-event
+	// trace, and the pending entry just waits in the kernel's deadline
+	// heap, apart from the events that run queries, until it fires
+	// either way. It addresses the process by id, so once the query has
+	// finished it reaches the kernel's dead sentinel and interrupts
+	// nothing, even when a later query has reused the process record.
 	// A query marks itself Finished in the same turn its process dies,
 	// so the typed event is equivalent to the old Finished-guarded
 	// closure.

@@ -137,6 +137,10 @@ func SimulateTraced(cfg Config, a *sim.Arena, win TraceWindow) (*Results, *trace
 		}
 		return r.run(), tr, nil
 	}
+	if a == nil {
+		a = sim.TakeArena()
+		defer putArena(a)
+	}
 	sys, err := NewWithArena(cfg, a)
 	if err != nil {
 		return nil, nil, err

@@ -103,8 +103,8 @@ type Spec struct {
 	Progress *Progress
 
 	// simulate runs one configured simulation, allocating from the
-	// worker's arena (reset between jobs; may be nil); tests inject
-	// synthetic dynamics here. nil means the real simulator.
+	// worker's arena (reset between jobs); tests inject synthetic
+	// dynamics here. nil means the real simulator.
 	simulate func(rtdbs.Config, *sim.Arena) (*rtdbs.Results, error)
 }
 
@@ -258,6 +258,10 @@ func Run(s Spec) ([]PointResult, error) {
 	return results, nil
 }
 
+// takeArena is where a worker gets its arena: sim's pool. Tests wrap
+// it to count the arenas a sweep takes.
+var takeArena = sim.TakeArena
+
 // job identifies one (point, replicate) simulation.
 type job struct{ point, rep int }
 
@@ -296,11 +300,19 @@ func runJobs(s Spec, results []PointResult, jobs []job) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: each replicate's kernel starts warm
-			// on the slabs and queue backings the previous one grew.
-			// Arenas are never shared across workers, so the sweep needs
-			// no locking around them.
-			arena := sim.NewArena()
+			// One arena per worker, taken from sim's pool at the
+			// worker's first cache miss and given back when it exits:
+			// each replicate's kernel starts warm on the slabs and queue
+			// backings an earlier one grew, in this sweep, an earlier
+			// round or an earlier sweep. A worker whose jobs the store
+			// serves takes none. Arenas are never shared across workers,
+			// so the sweep needs no locking around them.
+			var arena *sim.Arena
+			defer func() {
+				if arena != nil {
+					sim.PutArena(arena)
+				}
+			}()
 			for ji := range ch {
 				j := jobs[ji]
 				cfg := cloneConfig(results[j.point].Point.Config)
@@ -318,6 +330,9 @@ func runJobs(s Spec, results []PointResult, jobs []job) error {
 						s.Progress.jobDone(results[j.point].Point.Key, j.rep, true, 0)
 						continue
 					}
+				}
+				if arena == nil {
+					arena = takeArena()
 				}
 				t0 := time.Now()
 				res, err := s.simulate(cfg, arena)

@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pmm/internal/catalog"
 	"pmm/internal/query"
+	"pmm/internal/resultstore"
 	"pmm/internal/rtdbs"
 	"pmm/internal/sim"
 	"pmm/internal/stats"
@@ -343,4 +345,65 @@ func TestFind(t *testing.T) {
 		}
 	}()
 	Find(points, "rate")
+}
+
+// TestWorkerArenasOutliveRun pins that worker arenas outlive a sweep: a
+// second Run of a one-point spec with Reps = Workers = 2 simulates on
+// the arenas the first one gave back, a Run the store serves entirely
+// takes no arena, and all three give identical results.
+func TestWorkerArenasOutliveRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	var taken atomic.Int32
+	defer func(orig func() *sim.Arena) { takeArena = orig }(takeArena)
+	takeArena = func() *sim.Arena {
+		taken.Add(1)
+		return sim.TakeArena()
+	}
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run sweeps the one-point spec and reports the arenas its jobs
+	// simulated on. Each job waits until both have started, so each
+	// worker runs one job and takes its own arena.
+	run := func(cache *resultstore.Store) ([]*rtdbs.Results, map[*sim.Arena]bool) {
+		t.Helper()
+		var mu sync.Mutex
+		arenas := map[*sim.Arena]bool{}
+		var started sync.WaitGroup
+		started.Add(2)
+		points, err := Run(Spec{Base: tinyConfig(), Reps: 2, Workers: 2, Cache: cache,
+			simulate: func(cfg rtdbs.Config, a *sim.Arena) (*rtdbs.Results, error) {
+				mu.Lock()
+				arenas[a] = true
+				mu.Unlock()
+				started.Done()
+				started.Wait()
+				return rtdbs.Simulate(cfg, a)
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points[0].Reps, arenas
+	}
+
+	first, firstArenas := run(store)
+	second, secondArenas := run(nil)
+	if len(firstArenas) != 2 || !reflect.DeepEqual(secondArenas, firstArenas) {
+		t.Errorf("second run simulated on arenas %v, want the first run's %v", secondArenas, firstArenas)
+	}
+	if got := taken.Load(); got != 4 {
+		t.Errorf("two simulating runs took %d arenas, want 4", got)
+	}
+
+	taken.Store(0)
+	stored, storedArenas := run(store)
+	if got := taken.Load(); got != 0 || len(storedArenas) != 0 {
+		t.Errorf("a run served from the store took %d arenas and simulated on %d, want 0 and 0", got, len(storedArenas))
+	}
+	if !reflect.DeepEqual(second, first) || !reflect.DeepEqual(stored, first) {
+		t.Error("results differ between a cold, a warm and a store-served run")
+	}
 }

@@ -424,3 +424,25 @@ func BenchmarkCoordinatorWindow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkArenaChurn measures process churn within a replicate: 10,000
+// one-hold processes, at most 4 alive at once, each taking the record,
+// frame stack and frame a finished one gave back. Warm, a replicate
+// allocates nothing, and the Proc slab never holds more than the 5
+// records alive at once.
+func BenchmarkArenaChurn(b *testing.B) {
+	a := NewArena()
+	run := func() {
+		churn(NewKernelIn(a), 10_000)
+		if n := SlabFor[Proc](a).used(); n != 5 {
+			b.Fatalf("Proc slab handed out %d records, want 5", n)
+		}
+		a.Reset()
+	}
+	run() // grow the slabs and queue backings once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

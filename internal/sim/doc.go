@@ -36,12 +36,39 @@
 // environment kept alive.  Tests schedule ad-hoc callbacks through
 // simtest.At, a completer registered per call.
 //
-// Memory placement is caller-controlled.  NewKernel heap-allocates;
-// NewKernelIn builds the kernel and its queue backings from an Arena —
-// bump-allocated slabs (SlabFor, AllocFrom) that a sweep worker Resets
-// between replicates, so steady-state replicates run entirely on
-// recycled memory.  Processes, their frames and operator scratch are
-// allocated from the same arena by their owners.
+// Simulation memory is recycled, not regrown.  NewKernel heap-allocates
+// and recycles nothing; NewKernelIn builds the kernel and its queue
+// backings from an Arena — typed slabs (SlabFor, AllocFrom) — and
+// processes, their frames and operator state come from the same arena.
+// Recycling works at two lifetimes:
+//
+//   - Within a replicate, an owner gives its state back when it ends
+//     (FreeTo), and the next allocation of that type hands it out again,
+//     zeroed apart from slice backing a Recycler keeps.  The kernel
+//     retires a process whose root frame returned (Kernel.retire): its
+//     record and frame stack go back for the next Spawn.  Query frames,
+//     join and sort state do the same at their owners' ends, so an
+//     arena stays at the size of the state alive at once, not of every
+//     query the replicate ran.
+//   - Across replicates and runs, Reset zeroes and rewinds every slab
+//     and keeps the queue backings, and TakeArena and PutArena keep reset
+//     arenas in a package-level pool: sweep workers take one at their
+//     first simulated job and give it back when they exit, and one-shot
+//     runs borrow one for their run.
+//
+// Reusing a process record is safe because events address processes by
+// task id, never by pointer, and ids are never reused.  A retired
+// process's registry slot points at a dead sentinel the kernel owns, so
+// an event that outlives its process — a finished query's deadline
+// abort, or the completion of a direct disk transfer whose interrupted
+// rider has departed — finds a dead process and does nothing, whatever
+// now lives in the record.  Three resource fields do hold a process
+// across events: Server.direct (the caller of a direct CPU burst),
+// Server.cur and package disk's Disk.cur (the waiter a dispatched
+// request is serving).  Each is held only during an uncancellable
+// section, which its process cannot leave, let alone finish, before the
+// completion clears the field.  Anything else holding a *Proc must drop
+// it when the process finishes.
 //
 // Every process is a Proc whose body is a stack of frames (see Frames
 // below), started by Kernel.Spawn.  A process waits by arming one wait

@@ -61,6 +61,10 @@ type FrameState struct{ PC int32 }
 
 func (f *FrameState) setPC(pc int32) { f.PC = pc }
 
+// frameStack is the backing a process's frame stack starts with: deep
+// enough for every operator in the simulator, so stacks do not grow.
+type frameStack [8]Frame
+
 // Machine drives a process's frame stack.
 type Machine struct {
 	stack []Frame
@@ -89,17 +93,20 @@ func (m *Machine) Return(ok bool) Status {
 // begins executing at the current simulation time, after
 // already-scheduled events at this time; the process is dead once the
 // root frame returns. On an arena-backed kernel, the process record and
-// its frame stack come from the arena, so replicates after the first
-// spawn allocation-free.
+// its frame stack come from the arena, and a dead process gives both
+// back (Kernel.retire), so Spawn reuses the records of finished
+// processes and a warm one allocates nothing. The returned *Proc is
+// valid only while the process lives: once its root frame returns, the
+// record may serve a later Spawn.
 func (k *Kernel) Spawn(name string, root Frame) *Proc {
 	var p *Proc
 	if a := k.arena; a != nil {
 		p = SlabFor[Proc](a).Alloc()
-		st := SlabFor[[8]Frame](a).Alloc()
+		st := SlabFor[frameStack](a).Alloc()
 		p.m.stack = append(st[:0], root)
 	} else {
 		p = &Proc{}
-		p.m.stack = append(make([]Frame, 0, 8), root)
+		p.m.stack = append(make([]Frame, 0, len(frameStack{})), root)
 	}
 	p.k = k
 	p.name = name
@@ -152,7 +159,7 @@ func (p *Proc) runTurn() {
 			ok = m.ret
 			if sp == 0 {
 				p.state = procDead
-				p.k.procs--
+				p.k.retire(p)
 				return
 			}
 			sp--
@@ -160,6 +167,24 @@ func (p *Proc) runTurn() {
 		default:
 			panic("sim: frame returned an invalid status")
 		}
+	}
+}
+
+// retire takes a process whose root frame returned out of the kernel.
+// Its registry slot points at the dead sentinel from now on, with no
+// allocation: a deadline abort or ride completion still queued for it
+// addresses it by id, finds a dead process and does nothing, as it
+// would have on the process's own record. On an arena-backed kernel the
+// record and its frame stack then go back to the arena for the next
+// Spawn; a stack that outgrew its arena array is left to the collector.
+func (k *Kernel) retire(p *Proc) {
+	k.procs--
+	k.tasks[p.tid] = &k.dead
+	if a := k.arena; a != nil {
+		if st := p.m.stack; cap(st) == len(frameStack{}) {
+			FreeTo(a, (*frameStack)(st[:cap(st)]))
+		}
+		FreeTo(a, p)
 	}
 }
 

@@ -87,10 +87,13 @@ type Kernel struct {
 
 	// Typed-event registries: tasks and completers are appended once (at
 	// spawn / construction) and addressed by index from events, so
-	// events store no pointers. Task ids are never recycled — late
-	// events (deadline aborts) may outlive their process, and an id reuse
-	// would mis-target them — but a kernel only ever registers as many
-	// tasks as it spawns processes, so growth is bounded and tiny.
+	// events store no pointers. Task ids are never recycled: late events
+	// (a finished query's deadline abort, a ride whose rider unwound)
+	// may outlive their process. When a process dies its slot points at
+	// dead, so those events find a dead process and do nothing, while
+	// its record may serve a later Spawn under a new id. A kernel only
+	// ever registers as many tasks as it spawns processes, so growth is
+	// bounded and tiny.
 	tasks []*Proc
 	comps []Completer
 
@@ -107,11 +110,17 @@ type Kernel struct {
 
 	arena *Arena // frame arena the kernel allocates processes from (may be nil)
 	procs int    // live processes, for leak detection in tests
+
+	// dead is the sentinel every finished process's registry slot
+	// points at (see tasks). It is never spawned and never changes.
+	dead Proc
 }
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{until: math.Inf(1)}
+	k := &Kernel{until: math.Inf(1)}
+	k.dead.state = procDead
+	return k
 }
 
 // NewKernelIn returns a kernel whose process and frame allocations come
@@ -128,6 +137,7 @@ func NewKernelIn(a *Arena) *Kernel {
 	}
 	k := SlabFor[Kernel](a).Alloc()
 	k.until = math.Inf(1)
+	k.dead.state = procDead
 	k.arena = a
 	k.lane = a.laneBuf[:0]
 	k.heap = a.heapBuf[:0]
@@ -148,18 +158,18 @@ func (k *Kernel) Arena() *Arena { return k.arena }
 // seq) stream: it must not schedule events or otherwise feed back into
 // the simulation, so runs are bit-identical with and without one (the
 // Sink-contract note in doc.go spells out the rules). Attach before
-// spawning processes so the sink sees every task's spawn name.
+// spawning processes so the sink sees every task's spawn name; a task
+// that already finished is not reported.
 func (k *Kernel) SetSink(s trace.Sink) {
 	k.sink = s
 	if s != nil {
 		for _, p := range k.tasks {
-			s.TaskName(p.tid, p.name)
+			if p != &k.dead {
+				s.TaskName(p.tid, p.name)
+			}
 		}
 	}
 }
-
-// Sink returns the attached trace sink, or nil.
-func (k *Kernel) Sink() trace.Sink { return k.sink }
 
 // registerTask assigns a process its kernel-local id, the payload typed
 // events carry instead of a pointer.
